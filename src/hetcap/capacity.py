@@ -20,8 +20,8 @@ import numpy as np
 from scipy import integrate
 
 from .channel import (D_MIN, DuplexConfig, DuplexMode, QoSConfig,
-                      path_loss_gain, rsi_power)
-from .geometry import NetworkTopology, disk_points_xy
+                      _path_loss_gain_sq, path_loss_gain, rsi_power)
+from .geometry import NetworkTopology, SmallCell, disk_points_xy
 from .interference import total_mean_interference
 
 #: Trials per RNG substream; fixed so results never depend on worker count.
@@ -161,6 +161,16 @@ def _kernel_spec(topology: NetworkTopology, ue_tx_power: float, seed: int,
         ue_tx_power, seed, freeze_fading, pin_positions)
 
 
+def _squared_distance(x: np.ndarray, y: np.ndarray, px, py) -> np.ndarray:
+    """(trials, links) squared distances from per-trial points (x, y) to (px, py)."""
+    dx = x[:, None] - px
+    dy = y[:, None] - py
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
 def _simulate_chunk(spec: _KernelSpec, chunk: int, n: int) -> tuple[np.ndarray, ...]:
     """Simulate one trial chunk. Draw order is fixed; see module docstring."""
     rng = np.random.default_rng(
@@ -175,12 +185,12 @@ def _simulate_chunk(spec: _KernelSpec, chunk: int, n: int) -> tuple[np.ndarray, 
     signal = spec.tagged_power * h_sig * path_loss_gain(r_t, spec.tagged_alpha)
 
     ue_x, ue_y = disk_points_xy(spec.tagged_center, r_t, th_t)
-    d_bs = np.hypot(ue_x[:, None] - spec.bs_xy[None, :, 0],
-                    ue_y[:, None] - spec.bs_xy[None, :, 1])
-    h_bs = np.ones_like(d_bs) if spec.freeze_fading \
-        else rng.exponential(size=d_bs.shape)
-    i_bs = (spec.bs_power[None, :] * h_bs
-            * path_loss_gain(d_bs, spec.bs_alpha[None, :])).sum(axis=1)
+    d2_bs = _squared_distance(ue_x, ue_y, spec.bs_xy[:, 0], spec.bs_xy[:, 1])
+    h_bs = np.ones_like(d2_bs) if spec.freeze_fading \
+        else rng.exponential(size=d2_bs.shape)
+    h_bs *= spec.bs_power[None, :]
+    h_bs *= _path_loss_gain_sq(d2_bs, spec.bs_alpha)
+    i_bs = h_bs.sum(axis=1)
 
     n_other = len(spec.other_xy)
     if n_other:
@@ -192,11 +202,12 @@ def _simulate_chunk(spec: _KernelSpec, chunk: int, n: int) -> tuple[np.ndarray, 
             th_i = 2.0 * np.pi * rng.random((n, n_other))
         ix, iy = disk_points_xy((spec.other_xy[None, :, 0],
                                  spec.other_xy[None, :, 1]), r_i, th_i)
-        d_ue = np.hypot(ue_x[:, None] - ix, ue_y[:, None] - iy)
-        h_ue = np.ones_like(d_ue) if spec.freeze_fading \
-            else rng.exponential(size=d_ue.shape)
-        i_ue = (spec.ue_tx_power * h_ue
-                * path_loss_gain(d_ue, spec.other_alpha[None, :])).sum(axis=1)
+        d2_ue = _squared_distance(ue_x, ue_y, ix, iy)
+        h_ue = np.ones_like(d2_ue) if spec.freeze_fading \
+            else rng.exponential(size=d2_ue.shape)
+        h_ue *= spec.ue_tx_power
+        h_ue *= _path_loss_gain_sq(d2_ue, spec.other_alpha)
+        i_ue = h_ue.sum(axis=1)
     else:
         i_ue = np.zeros(n)
     return signal, i_bs, i_ue
@@ -282,17 +293,18 @@ def ec_exact_mc(topology: NetworkTopology, duplex: DuplexConfig, qos: QoSConfig,
     return ec_from_components(components, duplex, qos, noise)
 
 
-def _lb_signal_draws(tagged_power: float, tagged_radius: float, alpha: float,
-                     n: int, seed: int, freeze_fading: bool,
-                     pin_positions: bool) -> np.ndarray:
+def _lb_signal_draws(tagged: SmallCell, n: int, seed: int,
+                     freeze_fading: bool = False,
+                     pin_positions: bool = False) -> np.ndarray:
+    """Desired-signal powers the bound averages over; independent of eta."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_STREAM_LB_SIGNAL,)))
     if pin_positions:
-        r = np.full(n, tagged_radius / 2.0)
+        r = np.full(n, tagged.radius / 2.0)
     else:
-        r = tagged_radius * np.sqrt(rng.random(n))
+        r = tagged.radius * np.sqrt(rng.random(n))
     h = np.ones(n) if freeze_fading else rng.exponential(size=n)
-    return tagged_power * h * path_loss_gain(r, alpha)
+    return tagged.power * h * path_loss_gain(r, tagged.alpha)
 
 
 def _lb_quadrature(tagged_power: float, tagged_radius: float, alpha: float,
@@ -311,6 +323,77 @@ def _lb_quadrature(tagged_power: float, tagged_radius: float, alpha: float,
     return outer
 
 
+def _lb_mean_interference(topology: NetworkTopology, duplex: DuplexConfig,
+                          source: str = "analytic", trials: int = 0,
+                          seed: int = 0, freeze_fading: bool = False,
+                          pin_positions: bool = False) -> tuple[float, float, str]:
+    """Interference mean the bound freezes, its standard error and method name.
+
+    Depends on the duplex mode and the UE power, never on eta or kappa, so a
+    sweep computes it once per mode. The analytic mean is exact (zero error);
+    the simulated one averages ``trials`` exact-MC trials.
+    """
+    if source == "analytic":
+        return (total_mean_interference(topology, duplex).total, 0.0,
+                "lower_bound_analytic")
+    if source != "simulated":
+        raise ValueError(f"unknown interference_source {source!r}")
+    # Reuses the exact-MC trial streams for the same seed, so the simulated
+    # mean is exactly the empirical mean of those trials.
+    comp = simulate_components(topology, duplex.ue_tx_power, trials, seed,
+                               freeze_fading=freeze_fading,
+                               pin_positions=pin_positions)
+    if duplex.mode is DuplexMode.FD:
+        totals = comp.bs_interference + comp.ue_interference
+    else:
+        totals = comp.bs_interference
+    return (float(totals.mean()), float(totals.std(ddof=1)) / math.sqrt(trials),
+            "lower_bound_simulated")
+
+
+def _lb_reduce(tagged: SmallCell, s: np.ndarray | None, i_mean: float,
+               i_mean_se: float, method: str, duplex: DuplexConfig,
+               qos: QoSConfig, noise: float) -> ECEstimate:
+    """Jensen bound with the interference frozen at ``i_mean``.
+
+    ``s`` holds the signal draws of ``_lb_signal_draws``; ``None`` takes the
+    signal expectation by quadrature instead. Only this step depends on eta.
+    """
+    notes: list[str] = []
+    if qos.beta > 1.0:
+        notes.append(f"beta={qos.beta:.4g} > 1: bound not guaranteed")
+    rsi = rsi_power(duplex.ue_tx_power, duplex)
+    a = rsi + noise
+    denom = i_mean + a
+    expo = qos.beta if duplex.mode is DuplexMode.FD else qos.beta / 2.0
+
+    if s is None:
+        z_mean = _lb_quadrature(tagged.power, tagged.radius, tagged.alpha,
+                                denom, expo)
+        se_z = 0.0
+        notes.append("signal expectation via quadrature")
+    else:
+        z = (1.0 + s / denom) ** (-expo)
+        z_mean = float(z.mean())
+        se_z = float(z.std(ddof=1)) / math.sqrt(len(s))
+    ec = max(-math.log(z_mean) / qos.theta, 0.0)
+    se = se_z / (qos.theta * z_mean)
+
+    if i_mean_se > 0.0:
+        # sensitivity of EC to the interference mean, for the simulated source
+        if s is None:
+            delta = 1e-6 * denom
+            z_up = _lb_quadrature(tagged.power, tagged.radius, tagged.alpha,
+                                  denom + delta, expo)
+            dz_di = abs(z_up - z_mean) / delta
+        else:
+            dz_di = float((expo * s / denom**2
+                           * (1.0 + s / denom) ** (-(expo + 1.0))).mean())
+        se = math.hypot(se, dz_di * i_mean_se / (qos.theta * z_mean))
+    return ECEstimate(ec, se, 1 if s is None else len(s), qos.theta,
+                      duplex.mode, method, tuple(notes))
+
+
 def ec_lower_bound(topology: NetworkTopology, duplex: DuplexConfig,
                    qos: QoSConfig, noise: float, signal_samples: int, seed: int,
                    interference_source: str = "analytic", *,
@@ -326,67 +409,13 @@ def ec_lower_bound(topology: NetworkTopology, duplex: DuplexConfig,
     over the desired signal power is taken by Monte Carlo (default) or by
     quadrature (``signal_method="quadrature"``).
     """
-    if interference_source not in ("analytic", "simulated"):
-        raise ValueError(f"unknown interference_source {interference_source!r}")
-    notes: list[str] = []
-    if qos.beta > 1.0:
-        notes.append(f"beta={qos.beta:.4g} > 1: bound not guaranteed")
-
-    i_mean_se = 0.0
-    if interference_source == "analytic":
-        i_mean = total_mean_interference(topology, duplex).total
-        method = "lower_bound_analytic"
-    else:
-        # Reuses the exact-MC trial streams for the same seed, so the
-        # simulated mean is exactly the empirical mean of those trials.
-        n_int = interference_trials or signal_samples
-        comp = simulate_components(
-            topology, duplex.ue_tx_power, n_int, seed,
-            freeze_fading=freeze_fading, pin_positions=pin_positions)
-        if duplex.mode is DuplexMode.FD:
-            totals = comp.bs_interference + comp.ue_interference
-        else:
-            totals = comp.bs_interference
-        i_mean = float(totals.mean())
-        i_mean_se = float(totals.std(ddof=1)) / math.sqrt(n_int)
-        method = "lower_bound_simulated"
-
-    rsi = rsi_power(duplex.ue_tx_power, duplex)
-    a = rsi + noise
-    denom = i_mean + a
-    expo = qos.beta if duplex.mode is DuplexMode.FD else qos.beta / 2.0
-    tagged = topology.tagged_cell
-
-    if signal_method == "quadrature":
-        z_mean = _lb_quadrature(tagged.power, tagged.radius, tagged.alpha,
-                                denom, expo)
-        ec = max(-math.log(z_mean) / qos.theta, 0.0)
-        se_sig = 0.0
-        dz_di = None
-        if i_mean_se > 0.0:
-            delta = 1e-6 * denom
-            z_up = _lb_quadrature(tagged.power, tagged.radius, tagged.alpha,
-                                  denom + delta, expo)
-            dz_di = abs(z_up - z_mean) / delta
-        notes.append("signal expectation via quadrature")
-        trials_out = 1
-    elif signal_method == "mc":
-        s = _lb_signal_draws(tagged.power, tagged.radius, tagged.alpha,
-                             signal_samples, seed, freeze_fading, pin_positions)
-        z = (1.0 + s / denom) ** (-expo)
-        z_mean = float(z.mean())
-        ec = max(-math.log(z_mean) / qos.theta, 0.0)
-        se_sig = float(z.std(ddof=1)) / math.sqrt(signal_samples) \
-            / (qos.theta * z_mean)
-        # sensitivity of EC to the interference mean, for the simulated source
-        dz_di = float((expo * s / denom**2
-                       * (1.0 + s / denom) ** (-(expo + 1.0))).mean())
-        trials_out = signal_samples
-    else:
+    if signal_method not in ("mc", "quadrature"):
         raise ValueError(f"unknown signal_method {signal_method!r}")
-
-    se = se_sig
-    if i_mean_se > 0.0 and dz_di is not None:
-        se = math.hypot(se_sig, dz_di * i_mean_se / (qos.theta * z_mean))
-    return ECEstimate(ec, se, trials_out, qos.theta, duplex.mode, method,
-                      tuple(notes))
+    i_mean, i_mean_se, method = _lb_mean_interference(
+        topology, duplex, interference_source,
+        interference_trials or signal_samples, seed, freeze_fading,
+        pin_positions)
+    tagged = topology.tagged_cell
+    s = None if signal_method == "quadrature" else _lb_signal_draws(
+        tagged, signal_samples, seed, freeze_fading, pin_positions)
+    return _lb_reduce(tagged, s, i_mean, i_mean_se, method, duplex, qos, noise)

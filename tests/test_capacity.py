@@ -266,3 +266,51 @@ class TestComponents:
         assert (comp.signal >= 0).all()
         assert (comp.bs_interference >= 0).all()
         assert (comp.ue_interference >= 0).all()
+
+
+class TestSquaredDistanceKernel:
+    # d^2 = 0, inside the D_MIN clamp, at the kink, and far beyond it
+    D2 = np.array([0.0, 1e-6, 0.25, 0.999999, 1.0, 1.000001, 2.0, 8100.0,
+                   3.3e5, 4e6, 1e12])[:, None]
+
+    @pytest.mark.parametrize("alpha", [3.0, np.full(3, 3.0),
+                                       np.array([3.5, 3.0, 3.0]),
+                                       np.array([2.0, 3.7, 4.0])],
+                             ids=["scalar", "uniform-array", "macro-cells",
+                                  "mixed"])
+    def test_gain_matches_path_loss_gain(self, alpha):
+        from hetcap.channel import _path_loss_gain_sq, path_loss_gain
+
+        d2 = np.repeat(self.D2, 3, axis=1)
+        got = _path_loss_gain_sq(d2, alpha)
+        want = path_loss_gain(np.sqrt(d2), alpha)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(got[self.D2[:, 0] <= 1.0], 1.0)
+
+    def test_components_match_cartesian_oracle(self):
+        # pinned UEs and unit fading: every link has one Cartesian length,
+        # and the macro's exponent differs from the cells'
+        from hetcap import MacroBS, NetworkTopology, Region, SmallCell
+
+        cells = (SmallCell((400.0, 0.0), 90.0, 3.1623, 3.0),
+                 SmallCell((-150.0, 250.0), 60.0, 2.0, 3.0),
+                 SmallCell((100.0, -420.0), 90.0, 1.5, 3.0))
+        macro = MacroBS((0.0, 0.0), 39.81, 3.6)
+        topology = NetworkTopology(macro, cells, 180.0, 0, Region(1000.0))
+        comp = simulate_components(topology, P_UE, 5, 1, freeze_fading=True,
+                                   pin_positions=True)
+
+        def ue(cell):
+            return (cell.center[0] + cell.radius / 2.0, cell.center[1])
+
+        def gain(a, b, alpha):
+            return max(math.hypot(a[0] - b[0], a[1] - b[1]), 1.0) ** -alpha
+
+        tagged, others = cells[0], cells[1:]
+        signal = tagged.power * gain(ue(tagged), tagged.center, tagged.alpha)
+        i_bs = macro.power * gain(ue(tagged), macro.position, macro.alpha) \
+            + sum(c.power * gain(ue(tagged), c.center, c.alpha) for c in others)
+        i_ue = sum(P_UE * gain(ue(tagged), ue(c), c.alpha) for c in others)
+        for got, want in ((comp.signal, signal), (comp.bs_interference, i_bs),
+                          (comp.ue_interference, i_ue)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

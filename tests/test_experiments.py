@@ -6,8 +6,9 @@ import pytest
 from conftest import NOISE, P_MACRO, P_PICO, P_UE
 
 from hetcap import (DuplexConfig, DuplexMode, QoSConfig, Region,
-                    benchmark_runtime, eta_grid_db, fd_gain, find_crossover,
-                    lb_relative_gap, sample_matern_hcpp, sweep_eta)
+                    benchmark_runtime, ec_from_components, ec_lower_bound,
+                    eta_grid_db, fd_gain, find_crossover, lb_relative_gap,
+                    sample_matern_hcpp, simulate_components, sweep_eta)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,38 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_eta(sparse_topology, qos_default_module, NOISE, P_UE, [],
                       trials=100, seed=1)
+
+    def test_rows_equal_standalone_estimators(self, sparse_topology,
+                                              qos_default_module, monkeypatch):
+        # the sweep computes the eta-independent work once; every row must
+        # still equal the standalone estimators bit for bit
+        from hetcap import capacity
+
+        mean_calls = []
+        original = capacity.total_mean_interference
+
+        def counted(*args, **kwargs):
+            mean_calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "total_mean_interference", counted)
+        qos, trials, seed = qos_default_module, 5000, 41
+        sweep = sweep_eta(sparse_topology, qos, NOISE, P_UE,
+                          [-80.0, -45.0, 0.0], trials=trials, seed=seed)
+        assert len(mean_calls) <= 2
+
+        components = simulate_components(sparse_topology, P_UE, trials, seed)
+        hd = DuplexConfig(DuplexMode.HD, 0.0, 1.0, P_UE)
+        hd_exact = ec_from_components(components, hd, qos, NOISE)
+        hd_lb = ec_lower_bound(sparse_topology, hd, qos, NOISE, trials, seed)
+        for row in sweep.rows:
+            fd = DuplexConfig(DuplexMode.FD, row.eta, 1.0, P_UE)
+            assert row.ec_hd_exact == hd_exact
+            assert row.ec_hd_lb == hd_lb
+            assert row.ec_fd_exact == ec_from_components(components, fd, qos,
+                                                         NOISE)
+            assert row.ec_fd_lb == ec_lower_bound(sparse_topology, fd, qos,
+                                                  NOISE, trials, seed)
 
 
 class TestGainAndCrossover:
