@@ -293,9 +293,8 @@ def ec_exact_mc(topology: NetworkTopology, duplex: DuplexConfig, qos: QoSConfig,
     return ec_from_components(components, duplex, qos, noise)
 
 
-def _lb_signal_draws(tagged: SmallCell, n: int, seed: int,
-                     freeze_fading: bool = False,
-                     pin_positions: bool = False) -> np.ndarray:
+def _lb_signal_draws(tagged: SmallCell, n: int, seed: int, freeze_fading: bool,
+                     pin_positions: bool) -> np.ndarray:
     """Desired-signal powers the bound averages over; independent of eta."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_STREAM_LB_SIGNAL,)))
@@ -324,9 +323,9 @@ def _lb_quadrature(tagged_power: float, tagged_radius: float, alpha: float,
 
 
 def _lb_mean_interference(topology: NetworkTopology, duplex: DuplexConfig,
-                          source: str = "analytic", trials: int = 0,
-                          seed: int = 0, freeze_fading: bool = False,
-                          pin_positions: bool = False) -> tuple[float, float, str]:
+                          source: str, trials: int, seed: int,
+                          freeze_fading: bool,
+                          pin_positions: bool) -> tuple[float, float, str]:
     """Interference mean the bound freezes, its standard error and method name.
 
     Depends on the duplex mode and the UE power, never on eta or kappa, so a
@@ -394,6 +393,37 @@ def _lb_reduce(tagged: SmallCell, s: np.ndarray | None, i_mean: float,
                       duplex.mode, method, tuple(notes))
 
 
+def _lb_over_duplexes(topology: NetworkTopology, duplexes: list[DuplexConfig],
+                      qos: QoSConfig, noise: float, signal_samples: int,
+                      seed: int,
+                      interference_source: str = "analytic", *,
+                      signal_method: str = "mc",
+                      interference_trials: int | None = None,
+                      freeze_fading: bool = False,
+                      pin_positions: bool = False) -> list[ECEstimate]:
+    """``ec_lower_bound`` for each of ``duplexes``, sharing the eta-free work.
+
+    The signal draws are made once, and the interference mean once per
+    (duplex mode, UE power); only ``_lb_reduce`` runs per duplex.
+    """
+    if signal_method not in ("mc", "quadrature"):
+        raise ValueError(f"unknown signal_method {signal_method!r}")
+    tagged = topology.tagged_cell
+    s = None if signal_method == "quadrature" else _lb_signal_draws(
+        tagged, signal_samples, seed, freeze_fading, pin_positions)
+    means: dict[tuple, tuple[float, float, str]] = {}
+    bounds = []
+    for duplex in duplexes:
+        key = (duplex.mode, duplex.ue_tx_power)
+        if key not in means:
+            means[key] = _lb_mean_interference(
+                topology, duplex, interference_source,
+                interference_trials or signal_samples, seed, freeze_fading,
+                pin_positions)
+        bounds.append(_lb_reduce(tagged, s, *means[key], duplex, qos, noise))
+    return bounds
+
+
 def ec_lower_bound(topology: NetworkTopology, duplex: DuplexConfig,
                    qos: QoSConfig, noise: float, signal_samples: int, seed: int,
                    interference_source: str = "analytic", *,
@@ -409,13 +439,8 @@ def ec_lower_bound(topology: NetworkTopology, duplex: DuplexConfig,
     over the desired signal power is taken by Monte Carlo (default) or by
     quadrature (``signal_method="quadrature"``).
     """
-    if signal_method not in ("mc", "quadrature"):
-        raise ValueError(f"unknown signal_method {signal_method!r}")
-    i_mean, i_mean_se, method = _lb_mean_interference(
-        topology, duplex, interference_source,
-        interference_trials or signal_samples, seed, freeze_fading,
-        pin_positions)
-    tagged = topology.tagged_cell
-    s = None if signal_method == "quadrature" else _lb_signal_draws(
-        tagged, signal_samples, seed, freeze_fading, pin_positions)
-    return _lb_reduce(tagged, s, i_mean, i_mean_se, method, duplex, qos, noise)
+    return _lb_over_duplexes(
+        topology, [duplex], qos, noise, signal_samples, seed,
+        interference_source, signal_method=signal_method,
+        interference_trials=interference_trials, freeze_fading=freeze_fading,
+        pin_positions=pin_positions)[0]

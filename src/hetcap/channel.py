@@ -110,17 +110,12 @@ def path_loss_gain(distance, alpha: float, d_min: float = D_MIN):
     return np.maximum(distance, d_min) ** (-alpha)
 
 
-def _path_loss_gain_sq(dist_sq, alpha, d_min: float = D_MIN):
-    """``path_loss_gain`` from squared distances: max(d^2, d_min^2)^(-alpha/2).
+def _path_loss_gain_sq(dist_sq, alpha):
+    """``path_loss_gain`` from squared distances: max(d^2, D_MIN^2)^(-alpha/2).
 
-    Saves the square root of every distance. An alpha array whose entries
-    are all equal is collapsed to a scalar exponent, which numpy's ``pow``
-    evaluates about twice as fast as an array exponent.
+    Saves the square root of every distance.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.size and (alpha == alpha.flat[0]).all():
-        alpha = alpha.flat[0]
-    gain = np.maximum(dist_sq, d_min * d_min)
+    gain = np.maximum(dist_sq, D_MIN * D_MIN)
     return np.power(gain, -0.5 * alpha, out=gain)
 
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (ECEstimate, _lb_mean_interference, _lb_reduce,
-                       _lb_signal_draws, ec_exact_mc, ec_from_components,
-                       ec_lower_bound, simulate_components)
+from .capacity import (ECEstimate, _lb_over_duplexes, ec_exact_mc,
+                       ec_from_components, ec_lower_bound, simulate_components)
 from .channel import DuplexConfig, DuplexMode, QoSConfig
 from .geometry import NetworkTopology
 
@@ -95,23 +94,14 @@ def sweep_eta(topology: NetworkTopology, qos: QoSConfig, noise: float,
                                      workers=workers)
     hd = DuplexConfig(DuplexMode.HD, 0.0, kappa, ue_tx_power)
     ec_hd = ec_from_components(components, hd, qos, noise)
-    tagged = topology.tagged_cell
-    signal = _lb_signal_draws(tagged, trials, seed)
-    ec_hd_lb = _lb_reduce(tagged, signal, *_lb_mean_interference(topology, hd),
-                          hd, qos, noise)
-    fd_mean = _lb_mean_interference(
-        topology, DuplexConfig(DuplexMode.FD, 0.0, kappa, ue_tx_power))
-
-    rows = []
-    for eta in etas:
-        fd = DuplexConfig(DuplexMode.FD, float(eta), kappa, ue_tx_power)
-        rows.append(SweepRow(
-            eta=float(eta),
-            ec_hd_exact=ec_hd,
-            ec_fd_exact=ec_from_components(components, fd, qos, noise),
-            ec_hd_lb=ec_hd_lb,
-            ec_fd_lb=_lb_reduce(tagged, signal, *fd_mean, fd, qos, noise),
-        ))
+    fds = [DuplexConfig(DuplexMode.FD, float(eta), kappa, ue_tx_power)
+           for eta in etas]
+    ec_hd_lb, *ec_fd_lbs = _lb_over_duplexes(topology, [hd, *fds], qos, noise,
+                                            trials, seed)
+    rows = [SweepRow(eta=fd.eta, ec_hd_exact=ec_hd,
+                     ec_fd_exact=ec_from_components(components, fd, qos, noise),
+                     ec_hd_lb=ec_hd_lb, ec_fd_lb=ec_fd_lb)
+            for fd, ec_fd_lb in zip(fds, ec_fd_lbs)]
     fingerprint = {
         "topology": topology.fingerprint(),
         "seed": seed,
