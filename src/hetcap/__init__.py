@@ -10,22 +10,19 @@ from .capacity import (CheckResult, ECEstimate, GParams, TrialComponents,
                        ec_from_components, ec_lower_bound, g,
                        g_concavity_check, g_second_derivative,
                        mean_rate_from_components, simulate_components)
-from .channel import (D_MIN, DuplexConfig, DuplexMode, LinkBudget, QoSConfig,
-                      QoSBoundWarning, path_loss_gain, rate_bits, rsi_power,
-                      sample_fading, sinr)
+from .channel import (D_MIN, DuplexConfig, DuplexMode, QoSBoundWarning,
+                      QoSConfig, path_loss_gain)
 from .config import (ScenarioConfig, ScenarioFormatError,
                      ScenarioValidationError, dbm_to_watts, emit_benchmark_csv,
-                     emit_breakdown_csv, emit_results, emit_sweep_csv,
-                     load_scenario, load_topology, save_scenario,
-                     save_topology, scenario_with, watts_to_dbm)
+                     emit_breakdown_csv, emit_sweep_csv, load_scenario,
+                     load_topology, save_scenario, save_topology,
+                     scenario_with, watts_to_dbm)
 from .experiments import (BenchmarkReport, SweepResult, SweepRow,
                           benchmark_runtime, eta_grid_db, fd_gain,
-                          find_crossover, lb_relative_gap, sweep_eta)
+                          find_crossover, sweep_eta)
 from .geometry import (InfeasibleRegionError, InvalidTopologyError, MacroBS,
-                       NetworkTopology, PolarPoint, Region, SaturationWarning,
-                       SmallCell, TrialDraw, draw_trial, interferer_distance,
-                       sample_matern_hcpp, sample_uniform_disk,
-                       sample_uniform_disk_batch)
+                       NetworkTopology, Region, SaturationWarning, SmallCell,
+                       sample_matern_hcpp, sample_uniform_disk_batch)
 from .interference import (MeanInterferenceBreakdown, QuadratureDomainError,
                            TaylorAccuracyWarning, TaylorValidityError,
                            mean_interference_bs_ue, mean_interference_ue_ue,

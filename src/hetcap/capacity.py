@@ -12,6 +12,7 @@ estimates are bit-identical for any worker count.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 from scipy import integrate
 
 from .channel import (D_MIN, DuplexConfig, DuplexMode, QoSConfig,
-                      _path_loss_gain_sq, path_loss_gain, rsi_power)
+                      _duplex_terms, _path_loss_gain_sq, path_loss_gain)
 from .geometry import NetworkTopology, SmallCell, disk_points_xy
 from .interference import total_mean_interference
 
@@ -88,9 +89,9 @@ def g_concavity_check(params: GParams, s, i_grid) -> bool:
     s = np.asarray(s, dtype=float)
     i_grid = np.asarray(i_grid, dtype=float)
     d2 = g_second_derivative(s, i_grid, params)
-    sinr = s / (i_grid + params.a)
+    sinr_grid = s / (i_grid + params.a)
     with np.errstate(divide="ignore"):
-        sharper = params.beta < 1.0 + 2.0 / sinr
+        sharper = params.beta < 1.0 + 2.0 / sinr_grid
     return bool(np.all(d2 <= 0.0) and np.all(sharper))
 
 
@@ -122,6 +123,17 @@ class TrialComponents:
     def trials(self) -> int:
         return len(self.signal)
 
+    @functools.cached_property
+    def _bs_ue_interference(self) -> np.ndarray:
+        """bs + ue per trial, summed once for every FD setup reduced here."""
+        return self.bs_interference + self.ue_interference
+
+
+def _interference(components: TrialComponents, ue_counts: bool) -> np.ndarray:
+    """Per-trial interference the duplex mode hears, RSI and noise aside."""
+    return components._bs_ue_interference if ue_counts \
+        else components.bs_interference
+
 
 @dataclass(frozen=True)
 class _KernelSpec:
@@ -139,12 +151,10 @@ class _KernelSpec:
     other_alpha: np.ndarray
     ue_tx_power: float
     seed: int
-    freeze_fading: bool = False
-    pin_positions: bool = False
 
 
-def _kernel_spec(topology: NetworkTopology, ue_tx_power: float, seed: int,
-                 freeze_fading: bool, pin_positions: bool) -> _KernelSpec:
+def _kernel_spec(topology: NetworkTopology, ue_tx_power: float,
+                 seed: int) -> _KernelSpec:
     tagged = topology.tagged_cell
     others = [c for k, c in enumerate(topology.small_cells)
               if k != topology.tagged_index]
@@ -158,7 +168,7 @@ def _kernel_spec(topology: NetworkTopology, ue_tx_power: float, seed: int,
         bs_xy, bs_power, bs_alpha,
         other_xy, np.array([c.radius for c in others]),
         np.array([c.alpha for c in others]),
-        ue_tx_power, seed, freeze_fading, pin_positions)
+        ue_tx_power, seed)
 
 
 def _squared_distance(x: np.ndarray, y: np.ndarray, px, py) -> np.ndarray:
@@ -175,36 +185,26 @@ def _simulate_chunk(spec: _KernelSpec, chunk: int, n: int) -> tuple[np.ndarray, 
     """Simulate one trial chunk. Draw order is fixed; see module docstring."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=spec.seed, spawn_key=(_STREAM_TRIALS, chunk)))
-    if spec.pin_positions:
-        r_t = np.full(n, spec.tagged_radius / 2.0)
-        th_t = np.zeros(n)
-    else:
-        r_t = spec.tagged_radius * np.sqrt(rng.random(n))
-        th_t = 2.0 * np.pi * rng.random(n)
-    h_sig = np.ones(n) if spec.freeze_fading else rng.exponential(size=n)
-    signal = spec.tagged_power * h_sig * path_loss_gain(r_t, spec.tagged_alpha)
+    r_t = spec.tagged_radius * np.sqrt(rng.random(n))
+    th_t = 2.0 * np.pi * rng.random(n)
+    signal = spec.tagged_power * rng.exponential(size=n) \
+        * path_loss_gain(r_t, spec.tagged_alpha)
 
     ue_x, ue_y = disk_points_xy(spec.tagged_center, r_t, th_t)
     d2_bs = _squared_distance(ue_x, ue_y, spec.bs_xy[:, 0], spec.bs_xy[:, 1])
-    h_bs = np.ones_like(d2_bs) if spec.freeze_fading \
-        else rng.exponential(size=d2_bs.shape)
+    h_bs = rng.exponential(size=d2_bs.shape)
     h_bs *= spec.bs_power[None, :]
     h_bs *= _path_loss_gain_sq(d2_bs, spec.bs_alpha)
     i_bs = h_bs.sum(axis=1)
 
     n_other = len(spec.other_xy)
     if n_other:
-        if spec.pin_positions:
-            r_i = np.broadcast_to(spec.other_radius[None, :] / 2.0, (n, n_other))
-            th_i = np.zeros((n, n_other))
-        else:
-            r_i = spec.other_radius[None, :] * np.sqrt(rng.random((n, n_other)))
-            th_i = 2.0 * np.pi * rng.random((n, n_other))
+        r_i = spec.other_radius[None, :] * np.sqrt(rng.random((n, n_other)))
+        th_i = 2.0 * np.pi * rng.random((n, n_other))
         ix, iy = disk_points_xy((spec.other_xy[None, :, 0],
                                  spec.other_xy[None, :, 1]), r_i, th_i)
         d2_ue = _squared_distance(ue_x, ue_y, ix, iy)
-        h_ue = np.ones_like(d2_ue) if spec.freeze_fading \
-            else rng.exponential(size=d2_ue.shape)
+        h_ue = rng.exponential(size=d2_ue.shape)
         h_ue *= spec.ue_tx_power
         h_ue *= _path_loss_gain_sq(d2_ue, spec.other_alpha)
         i_ue = h_ue.sum(axis=1)
@@ -219,19 +219,17 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 
 def simulate_components(topology: NetworkTopology, ue_tx_power: float,
-                        trials: int, seed: int, *, workers: int = 1,
-                        freeze_fading: bool = False,
-                        pin_positions: bool = False) -> TrialComponents:
+                        trials: int, seed: int, *,
+                        workers: int = 1) -> TrialComponents:
     """Joint per-trial draws of signal and interference powers.
 
     Each trial places the tagged UE and one uplink UE per non-tagged cell
     uniformly in their disks and draws independent unit-mean fading on every
-    link. ``freeze_fading`` and ``pin_positions`` are validation hooks that
-    pin fading to 1 and every UE to (R/2, 0) in its cell.
+    link.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    spec = _kernel_spec(topology, ue_tx_power, seed, freeze_fading, pin_positions)
+    spec = _kernel_spec(topology, ue_tx_power, seed)
     sizes = _chunk_sizes(trials)
     if workers > 1 and len(sizes) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -256,14 +254,9 @@ def ec_from_components(components: TrialComponents, duplex: DuplexConfig,
     """Exact-MC reduction of precomputed trial components for one duplex setup."""
     if noise <= 0:
         raise ValueError("noise must be > 0")
-    rsi = rsi_power(duplex.ue_tx_power, duplex)
-    if duplex.mode is DuplexMode.FD:
-        denom = components.bs_interference + components.ue_interference + rsi + noise
-        expo = qos.beta
-    else:
-        denom = components.bs_interference + noise
-        expo = qos.beta / 2.0  # HD halves the block at the rate level
-    z = (1.0 + components.signal / denom) ** (-expo)
+    ue_counts, rsi, share = _duplex_terms(duplex)
+    denom = _interference(components, ue_counts) + rsi + noise
+    z = (1.0 + components.signal / denom) ** (-share * qos.beta)
     ec, se = _reduce_ec(z, qos.theta)
     return ECEstimate(ec, se, components.trials, qos.theta, duplex.mode, "exact_mc")
 
@@ -271,39 +264,27 @@ def ec_from_components(components: TrialComponents, duplex: DuplexConfig,
 def mean_rate_from_components(components: TrialComponents, duplex: DuplexConfig,
                               qos: QoSConfig, noise: float) -> float:
     """Average bits per block over the same draws; the theta -> 0 reference."""
-    rsi = rsi_power(duplex.ue_tx_power, duplex)
-    if duplex.mode is DuplexMode.FD:
-        denom = components.bs_interference + components.ue_interference + rsi + noise
-        half = 1.0
-    else:
-        denom = components.bs_interference + noise
-        half = 0.5
-    rates = half * qos.bits_per_use * np.log2(1.0 + components.signal / denom)
+    ue_counts, rsi, share = _duplex_terms(duplex)
+    denom = _interference(components, ue_counts) + rsi + noise
+    rates = share * qos.bits_per_use * np.log2(1.0 + components.signal / denom)
     return float(rates.mean())
 
 
 def ec_exact_mc(topology: NetworkTopology, duplex: DuplexConfig, qos: QoSConfig,
-                noise: float, trials: int, seed: int, *, workers: int = 1,
-                freeze_fading: bool = False,
-                pin_positions: bool = False) -> ECEstimate:
+                noise: float, trials: int, seed: int, *,
+                workers: int = 1) -> ECEstimate:
     """Exact effective capacity by Monte Carlo over placements and fading."""
-    components = simulate_components(
-        topology, duplex.ue_tx_power, trials, seed, workers=workers,
-        freeze_fading=freeze_fading, pin_positions=pin_positions)
+    components = simulate_components(topology, duplex.ue_tx_power, trials,
+                                     seed, workers=workers)
     return ec_from_components(components, duplex, qos, noise)
 
 
-def _lb_signal_draws(tagged: SmallCell, n: int, seed: int, freeze_fading: bool,
-                     pin_positions: bool) -> np.ndarray:
+def _lb_signal_draws(tagged: SmallCell, n: int, seed: int) -> np.ndarray:
     """Desired-signal powers the bound averages over; independent of eta."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_STREAM_LB_SIGNAL,)))
-    if pin_positions:
-        r = np.full(n, tagged.radius / 2.0)
-    else:
-        r = tagged.radius * np.sqrt(rng.random(n))
-    h = np.ones(n) if freeze_fading else rng.exponential(size=n)
-    return tagged.power * h * path_loss_gain(r, tagged.alpha)
+    r = tagged.radius * np.sqrt(rng.random(n))
+    return tagged.power * rng.exponential(size=n) * path_loss_gain(r, tagged.alpha)
 
 
 def _lb_quadrature(tagged_power: float, tagged_radius: float, alpha: float,
@@ -323,9 +304,8 @@ def _lb_quadrature(tagged_power: float, tagged_radius: float, alpha: float,
 
 
 def _lb_mean_interference(topology: NetworkTopology, duplex: DuplexConfig,
-                          source: str, trials: int, seed: int,
-                          freeze_fading: bool,
-                          pin_positions: bool) -> tuple[float, float, str]:
+                          source: str, trials: int,
+                          seed: int) -> tuple[float, float, str]:
     """Interference mean the bound freezes, its standard error and method name.
 
     Depends on the duplex mode and the UE power, never on eta or kappa, so a
@@ -339,13 +319,8 @@ def _lb_mean_interference(topology: NetworkTopology, duplex: DuplexConfig,
         raise ValueError(f"unknown interference_source {source!r}")
     # Reuses the exact-MC trial streams for the same seed, so the simulated
     # mean is exactly the empirical mean of those trials.
-    comp = simulate_components(topology, duplex.ue_tx_power, trials, seed,
-                               freeze_fading=freeze_fading,
-                               pin_positions=pin_positions)
-    if duplex.mode is DuplexMode.FD:
-        totals = comp.bs_interference + comp.ue_interference
-    else:
-        totals = comp.bs_interference
+    comp = simulate_components(topology, duplex.ue_tx_power, trials, seed)
+    totals = _interference(comp, _duplex_terms(duplex)[0])
     return (float(totals.mean()), float(totals.std(ddof=1)) / math.sqrt(trials),
             "lower_bound_simulated")
 
@@ -361,10 +336,9 @@ def _lb_reduce(tagged: SmallCell, s: np.ndarray | None, i_mean: float,
     notes: list[str] = []
     if qos.beta > 1.0:
         notes.append(f"beta={qos.beta:.4g} > 1: bound not guaranteed")
-    rsi = rsi_power(duplex.ue_tx_power, duplex)
-    a = rsi + noise
-    denom = i_mean + a
-    expo = qos.beta if duplex.mode is DuplexMode.FD else qos.beta / 2.0
+    _, rsi, share = _duplex_terms(duplex)
+    denom = i_mean + (rsi + noise)
+    expo = share * qos.beta
 
     if s is None:
         z_mean = _lb_quadrature(tagged.power, tagged.radius, tagged.alpha,
@@ -398,9 +372,7 @@ def _lb_over_duplexes(topology: NetworkTopology, duplexes: list[DuplexConfig],
                       seed: int,
                       interference_source: str = "analytic", *,
                       signal_method: str = "mc",
-                      interference_trials: int | None = None,
-                      freeze_fading: bool = False,
-                      pin_positions: bool = False) -> list[ECEstimate]:
+                      interference_trials: int | None = None) -> list[ECEstimate]:
     """``ec_lower_bound`` for each of ``duplexes``, sharing the eta-free work.
 
     The signal draws are made once, and the interference mean once per
@@ -410,7 +382,7 @@ def _lb_over_duplexes(topology: NetworkTopology, duplexes: list[DuplexConfig],
         raise ValueError(f"unknown signal_method {signal_method!r}")
     tagged = topology.tagged_cell
     s = None if signal_method == "quadrature" else _lb_signal_draws(
-        tagged, signal_samples, seed, freeze_fading, pin_positions)
+        tagged, signal_samples, seed)
     means: dict[tuple, tuple[float, float, str]] = {}
     bounds = []
     for duplex in duplexes:
@@ -418,8 +390,7 @@ def _lb_over_duplexes(topology: NetworkTopology, duplexes: list[DuplexConfig],
         if key not in means:
             means[key] = _lb_mean_interference(
                 topology, duplex, interference_source,
-                interference_trials or signal_samples, seed, freeze_fading,
-                pin_positions)
+                interference_trials or signal_samples, seed)
         bounds.append(_lb_reduce(tagged, s, *means[key], duplex, qos, noise))
     return bounds
 
@@ -428,9 +399,7 @@ def ec_lower_bound(topology: NetworkTopology, duplex: DuplexConfig,
                    qos: QoSConfig, noise: float, signal_samples: int, seed: int,
                    interference_source: str = "analytic", *,
                    signal_method: str = "mc",
-                   interference_trials: int | None = None,
-                   freeze_fading: bool = False,
-                   pin_positions: bool = False) -> ECEstimate:
+                   interference_trials: int | None = None) -> ECEstimate:
     """Jensen lower bound on the effective capacity.
 
     The interference is replaced by its mean: closed-form for
@@ -442,5 +411,4 @@ def ec_lower_bound(topology: NetworkTopology, duplex: DuplexConfig,
     return _lb_over_duplexes(
         topology, [duplex], qos, noise, signal_samples, seed,
         interference_source, signal_method=signal_method,
-        interference_trials=interference_trials, freeze_fading=freeze_fading,
-        pin_positions=pin_positions)[0]
+        interference_trials=interference_trials)[0]

@@ -1,8 +1,8 @@
-"""Link gains, Rayleigh fading, residual self-interference, SINR and rate.
+"""Link gains, duplexing and QoS settings, and the HD/FD rule.
 
 Powers are linear watts; rates are bits per scheduling block of
-``frame_time * bandwidth`` symbol-hertz. A half-duplex link only spends half
-the block on the downlink, which is applied at the rate level.
+``frame_time * bandwidth`` symbol-hertz. ``_duplex_terms`` is the one place
+that says how half and full duplex differ.
 """
 from __future__ import annotations
 
@@ -87,27 +87,9 @@ class QoSConfig:
         return 1.0 / (self.frame_time * self.bandwidth * LOG2E)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Per-trial power budget at the victim receiver, all in watts."""
-
-    signal_power: float
-    bs_interference: float
-    ue_interference: float
-    rsi: float
-    noise: float
-
-    def __post_init__(self) -> None:
-        for name in ("signal_power", "bs_interference", "ue_interference", "rsi"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.noise <= 0:
-            raise ValueError("noise must be > 0")
-
-
-def path_loss_gain(distance, alpha: float, d_min: float = D_MIN):
-    """Linear path-loss gain max(distance, d_min)^-alpha. Array-friendly."""
-    return np.maximum(distance, d_min) ** (-alpha)
+def path_loss_gain(distance, alpha: float):
+    """Linear path-loss gain max(distance, D_MIN)^-alpha. Array-friendly."""
+    return np.maximum(distance, D_MIN) ** (-alpha)
 
 
 def _path_loss_gain_sq(dist_sq, alpha):
@@ -119,32 +101,14 @@ def _path_loss_gain_sq(dist_sq, alpha):
     return np.power(gain, -0.5 * alpha, out=gain)
 
 
-def sample_fading(rng: np.random.Generator, size=None):
-    """Unit-mean exponential power fading (Rayleigh amplitude)."""
-    return rng.exponential(size=size)
+def _duplex_terms(duplex: DuplexConfig) -> tuple[bool, float, float]:
+    """The whole HD/FD difference: (UE interference counts, RSI power, share).
 
-
-def rsi_power(tx_power: float, duplex: DuplexConfig) -> float:
-    """Residual self-interference power eta * P^kappa; zero in half duplex."""
-    if tx_power < 0:
-        raise ValueError("tx_power must be >= 0")
-    if duplex.mode is DuplexMode.HD:
-        return 0.0
-    return duplex.eta * tx_power**duplex.kappa
-
-
-def sinr(link: LinkBudget, mode: DuplexMode) -> float:
-    """SINR of the downlink UE; HD drops UE interference and RSI."""
-    if mode is DuplexMode.FD:
-        denom = link.bs_interference + link.ue_interference + link.rsi + link.noise
-    else:
-        denom = link.bs_interference + link.noise
-    return link.signal_power / denom
-
-
-def rate_bits(sinr_value, qos: QoSConfig, mode: DuplexMode):
-    """Bits delivered in one block; half duplex carries the 1/2 factor here."""
-    bits = qos.bits_per_use * np.log2(1.0 + sinr_value)
-    if mode is DuplexMode.HD:
-        return 0.5 * bits
-    return bits
+    Full duplex hears the uplink UEs and its own residual self-interference
+    eta * P^kappa over the whole block. Half duplex hears neither but spends
+    only half the block on the downlink; that share scales both the rate and
+    the exponent beta.
+    """
+    if duplex.mode is DuplexMode.FD:
+        return True, duplex.eta * duplex.ue_tx_power**duplex.kappa, 1.0
+    return False, 0.0, 0.5

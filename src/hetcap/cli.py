@@ -10,7 +10,6 @@ import sys
 import numpy as np
 
 from . import capacity, config, experiments, interference
-from .channel import DuplexMode
 from .geometry import InvalidTopologyError
 
 

@@ -299,18 +299,6 @@ def emit_benchmark_csv(report: BenchmarkReport, path: str,
                           **(fingerprint or {})})
 
 
-def emit_results(result, path: str) -> None:
-    """Serialize a sweep, breakdown or benchmark to CSV by type."""
-    if isinstance(result, SweepResult):
-        emit_sweep_csv(result, path)
-    elif isinstance(result, MeanInterferenceBreakdown):
-        emit_breakdown_csv(result, path)
-    elif isinstance(result, BenchmarkReport):
-        emit_benchmark_csv(result, path)
-    else:
-        raise TypeError(f"no CSV emitter for {type(result).__name__}")
-
-
 def scenario_with(config: ScenarioConfig, **overrides) -> ScenarioConfig:
     """Validated copy with fields replaced."""
     return replace(config, **overrides)

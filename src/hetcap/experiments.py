@@ -79,10 +79,10 @@ def sweep_eta(topology: NetworkTopology, qos: QoSConfig, noise: float,
 
     ``grid_db`` holds 10*log10(eta) values (``-inf`` allowed for perfect
     cancellation); it is sorted ascending. The eta-independent work is done
-    once: the exact-MC trial draws, the lower bound's signal draws and its
-    mean interference per duplex mode. Each grid point then only runs the
-    two FD reductions, which equal standalone ``ec_from_components`` and
-    ``ec_lower_bound`` calls bit for bit.
+    once: the exact-MC trial draws and their FD interference sum, the lower
+    bound's signal draws and its mean interference per duplex mode. Each
+    grid point then only runs the two FD reductions, which equal standalone
+    ``ec_from_components`` and ``ec_lower_bound`` calls bit for bit.
     """
     grid_db = np.sort(np.asarray(grid_db, dtype=float))
     if grid_db.size == 0:
@@ -181,12 +181,3 @@ def benchmark_runtime(topology: NetworkTopology, duplex: DuplexConfig,
         lambda: ec_lower_bound(topology, duplex, qos, noise, n_lb, seed))
     return BenchmarkReport(exact_seconds, lb_seconds, n_exact, n_lb,
                            len(topology.small_cells), target_std_error)
-
-
-def lb_relative_gap(topology: NetworkTopology, duplex: DuplexConfig,
-                    qos: QoSConfig, noise: float, trials: int,
-                    seed: int) -> float:
-    """(exact - lower bound) / exact at one operating point."""
-    exact = ec_exact_mc(topology, duplex, qos, noise, trials, seed)
-    lb = ec_lower_bound(topology, duplex, qos, noise, trials, seed)
-    return (exact.ec - lb.ec) / exact.ec

@@ -1,22 +1,14 @@
 """Hard-core small-cell deployments and uniform-in-disk user placement.
 
 Distances are in meters and powers in watts throughout. Polar angles are
-radians in [0, 2*pi). Two angle frames are used:
-
-* ``TrialDraw`` positions store the angle against the global +x axis, so an
-  absolute position is simply ``center + (r cos t, r sin t)``.
-* ``interferer_distance`` measures each point's angle from the ray that
-  points at the *other* cell's center, which is the frame in which the
-  law-of-cosines composition is written.
-
-Both frames describe the same uniform distribution, so they can be mixed
-freely in expectations; tests pin their agreement against a Cartesian oracle.
+radians in [0, 2*pi) against the global +x axis, so an absolute position is
+``center + (r cos t, r sin t)``.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,24 +43,6 @@ class Region:
     @property
     def area(self) -> float:
         return math.pi * self.macro_radius**2
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """Planar point in polar form, r >= 0 and theta in [0, 2*pi)."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
-        if not 0 <= self.theta < 2 * math.pi:
-            raise ValueError(f"theta must lie in [0, 2*pi), got {self.theta}")
-
-    def to_xy(self, center: tuple[float, float] = (0.0, 0.0)) -> tuple[float, float]:
-        return (center[0] + self.r * math.cos(self.theta),
-                center[1] + self.r * math.sin(self.theta))
 
 
 @dataclass(frozen=True)
@@ -153,24 +127,6 @@ class NetworkTopology:
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class TrialDraw:
-    """One Monte Carlo placement draw: a UE offset per small cell.
-
-    Offsets are polar with the global-frame angle convention; ``tagged_ue``
-    repeats the entry for the tagged cell.
-    """
-
-    ue_positions: tuple[PolarPoint, ...]
-    tagged_ue: PolarPoint
-
-
-def sample_uniform_disk(radius: float, rng: np.random.Generator) -> PolarPoint:
-    """Draw one point uniformly from a disk; radial density is 2r/radius^2."""
-    r, theta = sample_uniform_disk_batch(radius, 1, rng)
-    return PolarPoint(float(r[0]), float(theta[0]))
-
-
 def sample_uniform_disk_batch(
     radius: float, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -184,45 +140,6 @@ def disk_points_xy(center: tuple[float, float], r: np.ndarray,
                    theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Absolute coordinates of polar offsets (global angle frame)."""
     return center[0] + r * np.cos(theta), center[1] + r * np.sin(theta)
-
-
-def compose_interferer_distance(r1, theta1, r2, theta2, d):
-    """Law-of-cosines distance between points of two cells (array-friendly).
-
-    Angles are measured from the ray toward the other cell's center. The
-    composition goes through c (interferer to victim's BS) and the aspect
-    angle of the interferer seen from the victim's BS.
-    """
-    c_sq = r1 * r1 + d * d - 2.0 * r1 * d * np.cos(theta1)
-    c = np.sqrt(np.maximum(c_sq, 0.0))
-    psi = np.arctan2(r1 * np.sin(theta1), d - r1 * np.cos(theta1))
-    x_sq = c * c + r2 * r2 - 2.0 * c * r2 * np.cos(theta2 - psi)
-    return np.sqrt(np.maximum(x_sq, 0.0))
-
-
-def interferer_distance(interferer_local: PolarPoint, victim_local: PolarPoint,
-                        center_separation: float) -> float:
-    """Distance between an interferer and a victim UE in different cells.
-
-    Each point is polar around its own BS, angle measured from the ray that
-    points at the other BS; ``center_separation`` is the BS-to-BS distance.
-    """
-    if center_separation < 0:
-        raise ValueError("center_separation must be >= 0")
-    return float(compose_interferer_distance(
-        interferer_local.r, interferer_local.theta,
-        victim_local.r, victim_local.theta, center_separation))
-
-
-def draw_trial(topology: NetworkTopology, rng: np.random.Generator) -> TrialDraw:
-    """Draw one UE placement per small cell, uniform in each coverage disk."""
-    points = []
-    for cell in topology.small_cells:
-        r, theta = sample_uniform_disk_batch(cell.radius, 1, rng)
-        points.append(PolarPoint(float(r[0]), float(theta[0])))
-    if topology.tagged_index is None:
-        raise InvalidTopologyError("cannot draw a trial on an empty topology")
-    return TrialDraw(tuple(points), points[topology.tagged_index])
 
 
 def default_tagged_index(centers: np.ndarray, region: Region) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .channel import DuplexConfig, DuplexMode
+from .channel import DuplexConfig, _duplex_terms
 from .geometry import NetworkTopology
 
 
@@ -264,7 +264,7 @@ def total_mean_interference(topology: NetworkTopology,
         np.concatenate(([macro.alpha], alpha)))
     per_bs = tuple(zip(["macro"] + labels, bs.tolist()))
     per_ue: tuple[tuple[str, float], ...] = ()
-    if duplex.mode is DuplexMode.FD and others:
+    if _duplex_terms(duplex)[0] and others:
         ue = duplex.ue_tx_power * _disk_pair_pathloss(d, radius, tagged.radius, alpha)
         per_ue = tuple(zip(labels, ue.tolist()))
 

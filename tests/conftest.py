@@ -53,3 +53,24 @@ def qos_default() -> QoSConfig:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260809)
+
+
+class _FixedDraws:
+    """Generator stand-in: every uniform draw is 0.25, every fading draw 1."""
+
+    def random(self, size):
+        return np.full(size, 0.25)
+
+    def exponential(self, size):
+        return np.ones(size)
+
+
+@pytest.fixture
+def fixed_draws(monkeypatch):
+    """Every library draw degenerate: each UE at (cx, cy + R/2), fading 1.
+
+    A uniform draw of 0.25 gives radius R*sqrt(0.25) = R/2 and angle
+    2*pi*0.25 = pi/2 in every cell, so each link has one Cartesian length.
+    """
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args, **kwargs: _FixedDraws())

@@ -99,13 +99,13 @@ class TestExactMonteCarlo:
         assert ec_fd.ec < ec_hd.ec
 
     def test_degenerate_draw_matches_closed_form(self, single_cell_topology,
-                                                 fd_duplex, qos_default):
+                                                 fd_duplex, qos_default,
+                                                 fixed_draws):
         estimate = ec_exact_mc(single_cell_topology, fd_duplex, qos_default,
-                               NOISE, 500, 1, freeze_fading=True,
-                               pin_positions=True)
+                               NOISE, 500, 1)
         cell = single_cell_topology.tagged_cell
         s = cell.power * (cell.radius / 2) ** -3.0
-        d_macro = math.hypot(cell.center[0] + cell.radius / 2, cell.center[1])
+        d_macro = math.hypot(cell.center[0], cell.center[1] + cell.radius / 2)
         i = single_cell_topology.macro_bs.power * d_macro ** -3.0
         sinr_det = s / (i + fd_duplex.eta * P_UE + NOISE)
         expected = 90.0 * math.log2(1.0 + sinr_det)
@@ -167,13 +167,12 @@ class TestLowerBound:
         assert lb.ec <= exact.ec + margin
 
     def test_equality_for_degenerate_draws(self, single_cell_topology,
-                                           fd_duplex, qos_default):
+                                           fd_duplex, qos_default, fixed_draws):
         # constant interference and signal: Jensen is tight
         exact = ec_exact_mc(single_cell_topology, fd_duplex, qos_default, NOISE,
-                            200, 1, freeze_fading=True, pin_positions=True)
+                            200, 1)
         lb = ec_lower_bound(single_cell_topology, fd_duplex, qos_default, NOISE,
-                            200, 1, interference_source="simulated",
-                            freeze_fading=True, pin_positions=True)
+                            200, 1, interference_source="simulated")
         assert lb.ec == pytest.approx(exact.ec, rel=1e-12)
 
     def test_analytic_and_simulated_sources_agree(self, sparse_topology,
@@ -287,7 +286,7 @@ class TestSquaredDistanceKernel:
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
         np.testing.assert_array_equal(got[self.D2[:, 0] <= 1.0], 1.0)
 
-    def test_components_match_cartesian_oracle(self):
+    def test_components_match_cartesian_oracle(self, fixed_draws):
         # pinned UEs and unit fading: every link has one Cartesian length,
         # and the macro's exponent differs from the cells'
         from hetcap import MacroBS, NetworkTopology, Region, SmallCell
@@ -297,11 +296,10 @@ class TestSquaredDistanceKernel:
                  SmallCell((100.0, -420.0), 90.0, 1.5, 3.0))
         macro = MacroBS((0.0, 0.0), 39.81, 3.6)
         topology = NetworkTopology(macro, cells, 180.0, 0, Region(1000.0))
-        comp = simulate_components(topology, P_UE, 5, 1, freeze_fading=True,
-                                   pin_positions=True)
+        comp = simulate_components(topology, P_UE, 5, 1)
 
         def ue(cell):
-            return (cell.center[0] + cell.radius / 2.0, cell.center[1])
+            return (cell.center[0], cell.center[1] + cell.radius / 2.0)
 
         def gain(a, b, alpha):
             return max(math.hypot(a[0] - b[0], a[1] - b[1]), 1.0) ** -alpha

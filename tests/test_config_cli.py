@@ -158,18 +158,6 @@ class TestResultEmission:
         assert lines[0] == "exact_seconds,lb_seconds,speedup,M"
         assert lines[1] == "1.5,0.1,15,16"
 
-    def test_emit_results_dispatch(self, tmp_path, sparse_topology):
-        from hetcap import BenchmarkReport, emit_results
-
-        emit_results(self._small_sweep(sparse_topology),
-                     str(tmp_path / "s.csv"))
-        assert (tmp_path / "s.csv").read_text().startswith("eta_dB,")
-        emit_results(BenchmarkReport(1.0, 0.5, 100, 100, 3, 1.0),
-                     str(tmp_path / "b.csv"))
-        assert (tmp_path / "b.csv").read_text().startswith("exact_seconds")
-        with pytest.raises(TypeError):
-            emit_results(object(), str(tmp_path / "x.csv"))
-
 
 @pytest.fixture
 def quick_scenario(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from conftest import NOISE, P_MACRO, P_PICO, P_UE
 
 from hetcap import (DuplexConfig, DuplexMode, QoSConfig, Region,
-                    benchmark_runtime, ec_from_components, ec_lower_bound,
-                    eta_grid_db, fd_gain, find_crossover, lb_relative_gap,
+                    benchmark_runtime, ec_exact_mc, ec_from_components,
+                    ec_lower_bound, eta_grid_db, fd_gain, find_crossover,
                     sample_matern_hcpp, simulate_components, sweep_eta)
 
 
@@ -190,8 +190,11 @@ class TestDensityContrast:
                     topology = sample_matern_hcpp(
                         Region(1000.0), density, 180.0, 90.0, 300 + seed,
                         cell_power=P_PICO, alpha=3.0, macro_power=P_MACRO)
-                values.append(lb_relative_gap(topology, duplex, qos, NOISE,
-                                              trials=20000, seed=400 + seed))
+                exact = ec_exact_mc(topology, duplex, qos, NOISE, 20000,
+                                    400 + seed)
+                lb = ec_lower_bound(topology, duplex, qos, NOISE, 20000,
+                                    400 + seed)
+                values.append((exact.ec - lb.ec) / exact.ec)
             gaps[label] = float(np.mean(values))
         assert gaps["dense"] < gaps["sparse"]
 

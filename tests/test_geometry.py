@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hetcap import (InfeasibleRegionError, PolarPoint, Region,
-                    SaturationWarning, draw_trial, interferer_distance,
-                    sample_matern_hcpp, sample_uniform_disk,
-                    sample_uniform_disk_batch)
-from hetcap.geometry import compose_interferer_distance, disk_points_xy
+from conftest import P_UE
+
+from hetcap import (InfeasibleRegionError, MacroBS, NetworkTopology, Region,
+                    SaturationWarning, SmallCell, sample_matern_hcpp,
+                    sample_uniform_disk_batch, simulate_components)
+from hetcap.geometry import disk_points_xy
 
 
 def pairwise_min_distance(topology):
@@ -78,10 +79,9 @@ class TestMaternSampling:
 
 class TestUniformDisk:
     def test_support(self, rng):
-        for _ in range(100):
-            p = sample_uniform_disk(90.0, rng)
-            assert 0 <= p.r <= 90.0
-            assert 0 <= p.theta < 2 * math.pi
+        r, theta = sample_uniform_disk_batch(90.0, 10**4, rng)
+        assert ((0 <= r) & (r <= 90.0)).all()
+        assert ((0 <= theta) & (theta < 2 * math.pi)).all()
 
     def test_radial_moments(self, rng):
         r, _ = sample_uniform_disk_batch(90.0, 10**5, rng)
@@ -100,45 +100,51 @@ class TestUniformDisk:
         assert result.pvalue > 0.01
 
 
+def _ue_interference(tagged: SmallCell, other: SmallCell, trials: int = 3,
+                     seed: int = 1) -> np.ndarray:
+    topology = NetworkTopology(MacroBS((0.0, 0.0), 39.81, 3.0), (tagged, other),
+                               180.0, 0, Region(1000.0))
+    return simulate_components(topology, P_UE, trials, seed).ue_interference
+
+
 class TestInterfererDistance:
-    def test_both_at_centers(self):
-        o = PolarPoint(0.0, 0.0)
-        assert interferer_distance(o, o, 500.0) == pytest.approx(500.0)
+    """UE-to-UE distances as the trial kernel measures them."""
 
-    def test_collinear_victim_toward_interferer(self):
-        assert interferer_distance(PolarPoint(0.0, 0.0), PolarPoint(90.0, 0.0),
-                                   500.0) == pytest.approx(410.0)
+    def test_both_at_centers(self, fixed_draws):
+        # zero-radius cells hold their UEs at the centers, 500 m apart
+        i_ue = _ue_interference(SmallCell((400.0, 0.0), 0.0, 1.0, 3.0),
+                                SmallCell((-100.0, 0.0), 0.0, 1.0, 3.0))
+        np.testing.assert_allclose(i_ue, P_UE * 500.0**-3, rtol=1e-12)
 
-    def test_matches_cartesian_oracle(self, rng):
-        n = 10**4
-        r1 = 200.0 * rng.random(n)
-        t1 = 2 * math.pi * rng.random(n)
-        r2 = 200.0 * rng.random(n)
-        t2 = 2 * math.pi * rng.random(n)
-        d = 100.0 + 900.0 * rng.random(n)
-        got = compose_interferer_distance(r1, t1, r2, t2, d)
-        # Cartesian frame: victim BS at origin, interferer BS at (d, 0);
-        # angles flip sign of x for the interferer side (toward-other-center).
-        ix = d - r1 * np.cos(t1)
-        iy = r1 * np.sin(t1)
-        vx = r2 * np.cos(t2)
-        vy = r2 * np.sin(t2)
-        want = np.hypot(ix - vx, iy - vy)
-        assert np.max(np.abs(got - want) / np.maximum(want, 1e-12)) < 1e-9
+    def test_collinear_victim_toward_interferer(self, fixed_draws):
+        # the tagged UE sits 90 m from its BS toward the interferer's center
+        i_ue = _ue_interference(SmallCell((300.0, 0.0), 180.0, 1.0, 3.0),
+                                SmallCell((300.0, 500.0), 0.0, 1.0, 3.0))
+        np.testing.assert_allclose(i_ue, P_UE * 410.0**-3, rtol=1e-12)
 
-    def test_rejects_negative_separation(self):
-        with pytest.raises(ValueError):
-            interferer_distance(PolarPoint(0, 0), PolarPoint(0, 0), -1.0)
+    def test_matches_cartesian_oracle(self):
+        # replay the kernel's stream (draw order: tagged radius and angle,
+        # signal fading, BS fading, interferer radii and angles, UE fading)
+        # and measure every link with hypot on the Cartesian positions
+        tagged = SmallCell((300.0, 0.0), 90.0, 1.0, 3.0)
+        other = SmallCell((-100.0, 200.0), 60.0, 1.0, 3.5)
+        n = 1000
+        got = _ue_interference(tagged, other, n, 9)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=9, spawn_key=(0, 0)))
+        r_t, th_t = sample_uniform_disk_batch(tagged.radius, n, rng)
+        rng.exponential(size=n)
+        rng.exponential(size=(n, 2))
+        r_i, th_i = sample_uniform_disk_batch(other.radius, n, rng)
+        h = rng.exponential(size=n)
+        ux, uy = disk_points_xy(tagged.center, r_t, th_t)
+        ix, iy = disk_points_xy(other.center, r_i, th_i)
+        dist = np.hypot(ux - ix, uy - iy)
+        np.testing.assert_allclose(got, P_UE * h * dist**-other.alpha,
+                                   rtol=1e-12)
 
 
 class TestTrialDraw:
-    def test_draw_trial_support_and_tagged_alias(self, sparse_topology, rng):
-        trial = draw_trial(sparse_topology, rng)
-        assert len(trial.ue_positions) == len(sparse_topology.small_cells)
-        for cell, p in zip(sparse_topology.small_cells, trial.ue_positions):
-            assert p.r <= cell.radius
-        assert trial.tagged_ue == trial.ue_positions[sparse_topology.tagged_index]
-
     def test_disk_points_xy_roundtrip(self, rng):
         r = np.array([10.0, 20.0])
         theta = np.array([0.0, math.pi / 2])
