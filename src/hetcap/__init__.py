@@ -21,8 +21,9 @@ from .experiments import (BenchmarkReport, SweepResult, SweepRow,
                           benchmark_runtime, eta_grid_db, fd_gain,
                           find_crossover, sweep_eta)
 from .geometry import (InfeasibleRegionError, InvalidTopologyError, MacroBS,
-                       NetworkTopology, Region, SaturationWarning, SmallCell,
-                       sample_matern_hcpp, sample_uniform_disk_batch)
+                       NetworkTopology, Region, RegionTooLargeError,
+                       SaturationWarning, SmallCell, sample_matern_hcpp,
+                       sample_uniform_disk_batch)
 from .interference import (MeanInterferenceBreakdown, QuadratureDomainError,
                            TaylorAccuracyWarning, TaylorValidityError,
                            mean_interference_bs_ue, mean_interference_ue_ue,

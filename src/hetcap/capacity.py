@@ -264,6 +264,8 @@ def ec_from_components(components: TrialComponents, duplex: DuplexConfig,
 def mean_rate_from_components(components: TrialComponents, duplex: DuplexConfig,
                               qos: QoSConfig, noise: float) -> float:
     """Average bits per block over the same draws; the theta -> 0 reference."""
+    if noise <= 0:
+        raise ValueError("noise must be > 0")
     ue_counts, rsi, share = _duplex_terms(duplex)
     denom = _interference(components, ue_counts) + rsi + noise
     rates = share * qos.bits_per_use * np.log2(1.0 + components.signal / denom)

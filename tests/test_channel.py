@@ -171,6 +171,13 @@ class TestRate:
         hd = mean_rate_from_components(comp, duplex(DuplexMode.HD), self.QOS, 1.0)
         assert fd == 2.0 * hd
 
+    @pytest.mark.parametrize("mode", [DuplexMode.FD, DuplexMode.HD])
+    @pytest.mark.parametrize("noise", [0.0, -1e-12])
+    def test_rejects_nonpositive_noise(self, mode, noise):
+        # without the check, noise 0 gives an infinite rate and -1e-12 a nan
+        comp = TrialComponents(np.array([1e-9]), np.array([0.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="noise must be > 0"):
+            mean_rate_from_components(comp, duplex(mode), self.QOS, noise)
 
 
 class TestQoSConfig:

@@ -207,6 +207,13 @@ class TestCli:
         bad.write_text("hard_core_m = 10\n")
         assert main(["generate", "--scenario", str(bad)]) == 1
 
+    @pytest.mark.filterwarnings("ignore::hetcap.SaturationWarning")
+    def test_oversized_region_exit_code(self, tmp_path, capsys):
+        big = tmp_path / "big.txt"
+        big.write_text("macro_radius_m = 1000000\ndensity_per_km2 = 50\n")
+        assert main(["generate", "--scenario", str(big)]) == 1
+        assert "MAX_PARENTS" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("no equals sign here\n")
