@@ -18,18 +18,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .channel import (D_MIN, DuplexConfig, DuplexMode, QoSConfig,
-                      _duplex_terms, _path_loss_gain_sq, path_loss_gain)
+from .channel import (DuplexConfig, DuplexMode, QoSConfig, _duplex_terms,
+                      _path_loss_gain_sq, path_loss_gain)
 from .geometry import NetworkTopology, SmallCell, disk_points_xy
 from .interference import total_mean_interference
 
 #: Trials per RNG substream; fixed so results never depend on worker count.
 CHUNK_TRIALS = 8192
 
-#: spawn_key namespaces keeping the signal and interference streams of the
-#: lower bound disjoint from the exact-MC trial streams.
+#: spawn_key namespaces keeping the lower bound's signal stream disjoint
+#: from the exact-MC trial streams.
 _STREAM_TRIALS = 0
 _STREAM_LB_SIGNAL = 1
 
@@ -43,7 +42,7 @@ class ECEstimate:
     trials: int
     theta: float
     mode: DuplexMode
-    method: str  # exact_mc | lower_bound_analytic | lower_bound_simulated
+    method: str  # exact_mc | lower_bound_analytic
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -289,128 +288,53 @@ def _lb_signal_draws(tagged: SmallCell, n: int, seed: int) -> np.ndarray:
     return tagged.power * rng.exponential(size=n) * path_loss_gain(r, tagged.alpha)
 
 
-def _lb_quadrature(tagged_power: float, tagged_radius: float, alpha: float,
-                   denom: float, expo: float) -> float:
-    """E_s (1 + s/denom)^-expo by nested quadrature over (radius, fading)."""
-
-    def fading_avg(r):
-        b = tagged_power * path_loss_gain(r, alpha) / denom
-        inner, _ = integrate.quad(
-            lambda u: (1.0 - b * np.log(u)) ** (-expo), 0.0, 1.0, limit=200)
-        return inner
-
-    outer, _ = integrate.quad(
-        lambda r: fading_avg(r) * 2.0 * r / tagged_radius**2,
-        0.0, tagged_radius, points=[min(D_MIN, tagged_radius)], limit=200)
-    return outer
-
-
-def _lb_mean_interference(topology: NetworkTopology, duplex: DuplexConfig,
-                          source: str, trials: int,
-                          seed: int) -> tuple[float, float, str]:
-    """Interference mean the bound freezes, its standard error and method name.
-
-    Depends on the duplex mode and the UE power, never on eta or kappa, so a
-    sweep computes it once per mode. The analytic mean is exact (zero error);
-    the simulated one averages ``trials`` exact-MC trials.
-    """
-    if source == "analytic":
-        return (total_mean_interference(topology, duplex).total, 0.0,
-                "lower_bound_analytic")
-    if source != "simulated":
-        raise ValueError(f"unknown interference_source {source!r}")
-    # Reuses the exact-MC trial streams for the same seed, so the simulated
-    # mean is exactly the empirical mean of those trials.
-    comp = simulate_components(topology, duplex.ue_tx_power, trials, seed)
-    totals = _interference(comp, _duplex_terms(duplex)[0])
-    return (float(totals.mean()), float(totals.std(ddof=1)) / math.sqrt(trials),
-            "lower_bound_simulated")
-
-
-def _lb_reduce(tagged: SmallCell, s: np.ndarray | None, i_mean: float,
-               i_mean_se: float, method: str, duplex: DuplexConfig,
+def _lb_reduce(s: np.ndarray, i_mean: float, duplex: DuplexConfig,
                qos: QoSConfig, noise: float) -> ECEstimate:
     """Jensen bound with the interference frozen at ``i_mean``.
 
-    ``s`` holds the signal draws of ``_lb_signal_draws``; ``None`` takes the
-    signal expectation by quadrature instead. Only this step depends on eta.
+    ``s`` holds the signal draws of ``_lb_signal_draws``; the standard error
+    is the Monte Carlo error of their average. Only this step depends on eta.
     """
     notes: list[str] = []
     if qos.beta > 1.0:
         notes.append(f"beta={qos.beta:.4g} > 1: bound not guaranteed")
     _, rsi, share = _duplex_terms(duplex)
     denom = i_mean + (rsi + noise)
-    expo = share * qos.beta
-
-    if s is None:
-        z_mean = _lb_quadrature(tagged.power, tagged.radius, tagged.alpha,
-                                denom, expo)
-        se_z = 0.0
-        notes.append("signal expectation via quadrature")
-    else:
-        z = (1.0 + s / denom) ** (-expo)
-        z_mean = float(z.mean())
-        se_z = float(z.std(ddof=1)) / math.sqrt(len(s))
+    z = (1.0 + s / denom) ** (-(share * qos.beta))
+    z_mean = float(z.mean())
     ec = max(-math.log(z_mean) / qos.theta, 0.0)
-    se = se_z / (qos.theta * z_mean)
-
-    if i_mean_se > 0.0:
-        # sensitivity of EC to the interference mean, for the simulated source
-        if s is None:
-            delta = 1e-6 * denom
-            z_up = _lb_quadrature(tagged.power, tagged.radius, tagged.alpha,
-                                  denom + delta, expo)
-            dz_di = abs(z_up - z_mean) / delta
-        else:
-            dz_di = float((expo * s / denom**2
-                           * (1.0 + s / denom) ** (-(expo + 1.0))).mean())
-        se = math.hypot(se, dz_di * i_mean_se / (qos.theta * z_mean))
-    return ECEstimate(ec, se, 1 if s is None else len(s), qos.theta,
-                      duplex.mode, method, tuple(notes))
+    se = float(z.std(ddof=1)) / math.sqrt(len(s)) / (qos.theta * z_mean)
+    return ECEstimate(ec, se, len(s), qos.theta, duplex.mode,
+                      "lower_bound_analytic", tuple(notes))
 
 
 def _lb_over_duplexes(topology: NetworkTopology, duplexes: list[DuplexConfig],
                       qos: QoSConfig, noise: float, signal_samples: int,
-                      seed: int,
-                      interference_source: str = "analytic", *,
-                      signal_method: str = "mc",
-                      interference_trials: int | None = None) -> list[ECEstimate]:
+                      seed: int) -> list[ECEstimate]:
     """``ec_lower_bound`` for each of ``duplexes``, sharing the eta-free work.
 
-    The signal draws are made once, and the interference mean once per
+    The signal draws are made once, and the exact mean interference once per
     (duplex mode, UE power); only ``_lb_reduce`` runs per duplex.
     """
-    if signal_method not in ("mc", "quadrature"):
-        raise ValueError(f"unknown signal_method {signal_method!r}")
-    tagged = topology.tagged_cell
-    s = None if signal_method == "quadrature" else _lb_signal_draws(
-        tagged, signal_samples, seed)
-    means: dict[tuple, tuple[float, float, str]] = {}
+    s = _lb_signal_draws(topology.tagged_cell, signal_samples, seed)
+    means: dict[tuple, float] = {}
     bounds = []
     for duplex in duplexes:
         key = (duplex.mode, duplex.ue_tx_power)
         if key not in means:
-            means[key] = _lb_mean_interference(
-                topology, duplex, interference_source,
-                interference_trials or signal_samples, seed)
-        bounds.append(_lb_reduce(tagged, s, *means[key], duplex, qos, noise))
+            means[key] = total_mean_interference(topology, duplex).total
+        bounds.append(_lb_reduce(s, means[key], duplex, qos, noise))
     return bounds
 
 
 def ec_lower_bound(topology: NetworkTopology, duplex: DuplexConfig,
-                   qos: QoSConfig, noise: float, signal_samples: int, seed: int,
-                   interference_source: str = "analytic", *,
-                   signal_method: str = "mc",
-                   interference_trials: int | None = None) -> ECEstimate:
+                   qos: QoSConfig, noise: float, signal_samples: int,
+                   seed: int) -> ECEstimate:
     """Jensen lower bound on the effective capacity.
 
-    The interference is replaced by its mean: closed-form for
-    ``interference_source="analytic"``, or a Monte Carlo average of the
-    per-trial interference for ``"simulated"``. The one remaining expectation
-    over the desired signal power is taken by Monte Carlo (default) or by
-    quadrature (``signal_method="quadrature"``).
+    The interference is frozen at its exact closed-form mean, and the one
+    remaining expectation, over the desired signal power, is a Monte Carlo
+    average of ``signal_samples`` draws.
     """
-    return _lb_over_duplexes(
-        topology, [duplex], qos, noise, signal_samples, seed,
-        interference_source, signal_method=signal_method,
-        interference_trials=interference_trials)[0]
+    return _lb_over_duplexes(topology, [duplex], qos, noise, signal_samples,
+                             seed)[0]

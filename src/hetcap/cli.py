@@ -123,6 +123,7 @@ def _cmd_validate(args) -> int:
     trials = min(cfg.trials, 5000)
     checked = 0
     attempt = 0
+    skipped: list[str] = []
     while checked < 10 and attempt < 60:
         attempt += 1
         sampled = config.scenario_with(
@@ -142,7 +143,8 @@ def _cmd_validate(args) -> int:
             lb = capacity.ec_lower_bound(
                 topology, sampled.duplex(), sampled.qos(), sampled.noise_watts,
                 trials, int(rng.integers(1 << 30)))
-        except (InvalidTopologyError, interference.TaylorValidityError):
+        except (InvalidTopologyError, interference.TaylorValidityError) as exc:
+            skipped.append(type(exc).__name__)
             continue
         checked += 1
         margin = 3.0 * float(np.hypot(exact.std_error, lb.std_error))
@@ -150,6 +152,10 @@ def _cmd_validate(args) -> int:
         failures += not ok
         print(f"  deployment {checked:2d}: LB {lb.ec:9.3f} <= exact "
               f"{exact.ec:9.3f} + {margin:.3f} {'ok' if ok else 'FAIL'}")
+    if skipped:
+        print(f"  skipped {len(skipped)} deployment"
+              f"{'' if len(skipped) == 1 else 's'} "
+              f"({', '.join(sorted(set(skipped)))})")
 
     print("validation " + ("passed" if failures == 0 else
                            f"FAILED ({failures} checks)"))

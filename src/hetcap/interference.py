@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .channel import DuplexConfig, _duplex_terms
 from .geometry import NetworkTopology
@@ -82,6 +82,8 @@ def mean_pathloss_numeric(d: float, cell_radius: float, alpha: float,
         raise QuadratureDomainError(
             f"victim disk contains the interferer (d={d} <= R={cell_radius}); "
             "the disk average diverges for alpha >= 2")
+
+    from scipy import integrate  # only this oracle needs it; slow to import
 
     def integrand(r, t):
         return (d * d + r * r - 2.0 * d * r * np.cos(t)) ** (-alpha / 2.0) * r

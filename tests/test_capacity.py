@@ -8,7 +8,8 @@ from conftest import NOISE, P_UE
 from hetcap import (CheckResult, DuplexConfig, DuplexMode, GParams, QoSConfig,
                     check_theta_constraint, ec_exact_mc, ec_from_components,
                     ec_lower_bound, g, g_concavity_check, g_second_derivative,
-                    mean_rate_from_components, simulate_components)
+                    mean_rate_from_components, simulate_components,
+                    total_mean_interference)
 
 
 class TestG:
@@ -157,6 +158,35 @@ class TestExactMonteCarlo:
             ec_exact_mc(empty, fd_duplex, qos_default, NOISE, 100, 1)
 
 
+def lb_by_quadrature(topology, duplex, qos, noise):
+    """Jensen bound with the signal expectation by nested quadrature.
+
+    Same frozen mean as ``ec_lower_bound``; E_s (1 + s/denom)^-expo is
+    integrated over the tagged UE's radius and, inside, over the fading
+    (h = -log u for uniform u), independently of the Monte Carlo draws.
+    """
+    from scipy import integrate
+
+    from hetcap import D_MIN, path_loss_gain
+    from hetcap.channel import _duplex_terms
+
+    tagged = topology.tagged_cell
+    _, rsi, share = _duplex_terms(duplex)
+    denom = total_mean_interference(topology, duplex).total + (rsi + noise)
+    expo = share * qos.beta
+
+    def fading_avg(r):
+        b = tagged.power * path_loss_gain(r, tagged.alpha) / denom
+        inner, _ = integrate.quad(
+            lambda u: (1.0 - b * np.log(u)) ** (-expo), 0.0, 1.0, limit=200)
+        return inner
+
+    z_mean, _ = integrate.quad(
+        lambda r: fading_avg(r) * 2.0 * r / tagged.radius**2,
+        0.0, tagged.radius, points=[min(D_MIN, tagged.radius)], limit=200)
+    return max(-math.log(z_mean) / qos.theta, 0.0)
+
+
 class TestLowerBound:
     def test_ordering_quick(self, sparse_topology, fd_duplex, qos_default):
         exact = ec_exact_mc(sparse_topology, fd_duplex, qos_default, NOISE,
@@ -169,45 +199,23 @@ class TestLowerBound:
     def test_equality_for_degenerate_draws(self, single_cell_topology,
                                            fd_duplex, qos_default, fixed_draws):
         # constant interference and signal: Jensen is tight
-        exact = ec_exact_mc(single_cell_topology, fd_duplex, qos_default, NOISE,
-                            200, 1)
-        lb = ec_lower_bound(single_cell_topology, fd_duplex, qos_default, NOISE,
-                            200, 1, interference_source="simulated")
-        assert lb.ec == pytest.approx(exact.ec, rel=1e-12)
+        from hetcap.capacity import _lb_reduce, _lb_signal_draws
 
-    def test_analytic_and_simulated_sources_agree(self, sparse_topology,
-                                                  fd_duplex, qos_default):
-        analytic = ec_lower_bound(sparse_topology, fd_duplex, qos_default,
-                                  NOISE, 40000, 17)
-        simulated = ec_lower_bound(sparse_topology, fd_duplex, qos_default,
-                                   NOISE, 40000, 17,
-                                   interference_source="simulated",
-                                   interference_trials=10**5)
-        margin = 3 * math.hypot(analytic.std_error, simulated.std_error)
-        assert abs(analytic.ec - simulated.ec) <= margin
-        assert analytic.method == "lower_bound_analytic"
-        assert simulated.method == "lower_bound_simulated"
+        components = simulate_components(single_cell_topology, P_UE, 200, 1)
+        exact = ec_from_components(components, fd_duplex, qos_default, NOISE)
+        i_mean = float((components.bs_interference
+                        + components.ue_interference).mean())
+        s = _lb_signal_draws(single_cell_topology.tagged_cell, 200, 1)
+        lb = _lb_reduce(s, i_mean, fd_duplex, qos_default, NOISE)
+        assert lb.ec == pytest.approx(exact.ec, rel=1e-12)
 
     def test_quadrature_signal_expectation_agrees(self, sparse_topology,
                                                   fd_duplex, qos_default):
         mc = ec_lower_bound(sparse_topology, fd_duplex, qos_default, NOISE,
                             2 * 10**5, 19)
-        quad = ec_lower_bound(sparse_topology, fd_duplex, qos_default, NOISE,
-                              1, 19, signal_method="quadrature")
-        assert quad.ec == pytest.approx(mc.ec, abs=4 * mc.std_error)
-
-    def test_simulated_source_with_quadrature_signal(self, sparse_topology,
-                                                     fd_duplex, qos_default):
-        estimate = ec_lower_bound(sparse_topology, fd_duplex, qos_default,
-                                  NOISE, 1, 19, interference_source="simulated",
-                                  signal_method="quadrature",
-                                  interference_trials=20000)
-        reference = ec_lower_bound(sparse_topology, fd_duplex, qos_default,
-                                   NOISE, 10**5, 19)
-        # std_error carries the interference-mean uncertainty
-        assert estimate.std_error > 0
-        assert abs(estimate.ec - reference.ec) < 5 * math.hypot(
-            estimate.std_error, reference.std_error)
+        quad = lb_by_quadrature(sparse_topology, fd_duplex, qos_default, NOISE)
+        assert mc.method == "lower_bound_analytic"
+        assert quad == pytest.approx(mc.ec, abs=4 * mc.std_error)
 
     def test_beta_above_one_annotated(self, sparse_topology, fd_duplex):
         with pytest.warns(UserWarning):

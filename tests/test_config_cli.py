@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -230,3 +234,36 @@ class TestCli:
     def test_validate_smoke(self, quick_scenario, capsys):
         assert main(["validate", "--scenario", quick_scenario]) == 0
         assert "validation passed" in capsys.readouterr().out
+
+    def test_validate_reports_skipped_deployments(self, quick_scenario,
+                                                  monkeypatch, capsys):
+        from hetcap import TaylorValidityError, capacity
+
+        bound = capacity.ec_lower_bound
+        calls = []
+
+        def first_call_raises(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise TaylorValidityError("series cap reached")
+            return bound(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "ec_lower_bound", first_call_raises)
+        assert main(["validate", "--scenario", quick_scenario]) == 0
+        out = capsys.readouterr().out
+        assert "  skipped 1 deployment (TaylorValidityError)\n" in out
+        assert "validation passed" in out
+        assert "deployment 10:" in out
+
+    def test_import_leaves_integrate_and_optimize_unloaded(self):
+        # both take ~0.15 s to import; only the quadrature oracle needs them
+        import hetcap
+
+        code = ("import sys, hetcap, hetcap.cli; print(sorted(m for m in "
+                "sys.modules if m.startswith(('scipy.integrate', "
+                "'scipy.optimize'))))")
+        src = str(pathlib.Path(hetcap.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

@@ -269,13 +269,17 @@ class TestTotalMeanInterference:
             total_mean_interference(topology,
                                     DuplexConfig(DuplexMode.FD, 0.0, 1.0, P_UE))
 
-    def test_matches_trial_interference_mean(self, sparse_topology, fd_duplex):
-        # Analytic total vs. the empirical mean of the exact-MC trial
-        # interference (the overlap of the two lower-bound flavors).
+    def test_matches_trial_interference_mean(self, sparse_topology, hd_duplex,
+                                             fd_duplex):
+        # Analytic total, the mean the lower bound freezes, vs. the empirical
+        # mean of the exact-MC kernel's per-trial interference, per mode.
         from hetcap import simulate_components
 
         components = simulate_components(sparse_topology, P_UE, 10**5, 11)
-        totals = components.bs_interference + components.ue_interference
-        analytic = total_mean_interference(sparse_topology, fd_duplex).total
-        se = totals.std(ddof=1) / math.sqrt(len(totals))
-        assert abs(analytic - totals.mean()) < 3 * se
+        for duplex, totals in (
+                (hd_duplex, components.bs_interference),
+                (fd_duplex, components.bs_interference
+                 + components.ue_interference)):
+            analytic = total_mean_interference(sparse_topology, duplex).total
+            se = totals.std(ddof=1) / math.sqrt(len(totals))
+            assert abs(analytic - totals.mean()) < 3 * se
