@@ -209,6 +209,29 @@ class TestLowerBound:
         lb = _lb_reduce(s, i_mean, fd_duplex, qos_default, NOISE)
         assert lb.ec == pytest.approx(exact.ec, rel=1e-12)
 
+    def test_analytic_and_simulated_sources_agree(self, sparse_topology,
+                                                  fd_duplex, qos_default):
+        # Freezing the empirical mean of exact-MC trials instead of the closed
+        # form moves the bound by no more than that mean's own error allows.
+        from hetcap.capacity import _lb_reduce, _lb_signal_draws
+
+        analytic = ec_lower_bound(sparse_topology, fd_duplex, qos_default,
+                                  NOISE, 40000, 17)
+        components = simulate_components(sparse_topology, P_UE, 10**5, 17)
+        totals = components.bs_interference + components.ue_interference
+        i_mean = float(totals.mean())
+        i_mean_se = float(totals.std(ddof=1)) / math.sqrt(len(totals))
+        s = _lb_signal_draws(sparse_topology.tagged_cell, 40000, 17)
+        simulated = _lb_reduce(s, i_mean, fd_duplex, qos_default, NOISE)
+        # sensitivity of the bound to the frozen mean, by finite difference
+        delta = 1e-6 * i_mean
+        shifted = _lb_reduce(s, i_mean + delta, fd_duplex, qos_default, NOISE)
+        dec_di = abs(shifted.ec - simulated.ec) / delta
+        margin = 3 * math.hypot(analytic.std_error, simulated.std_error,
+                                dec_di * i_mean_se)
+        assert abs(analytic.ec - simulated.ec) <= margin
+        assert analytic.method == "lower_bound_analytic"
+
     def test_quadrature_signal_expectation_agrees(self, sparse_topology,
                                                   fd_duplex, qos_default):
         mc = ec_lower_bound(sparse_topology, fd_duplex, qos_default, NOISE,
