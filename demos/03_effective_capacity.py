@@ -5,12 +5,12 @@ bound freezes interference at its closed-form mean and only samples the
 desired signal. This script compares them on one deployment, shows the
 loose-QoS limit, and sweeps the QoS exponent.
 """
-import math
+import warnings
 
-from hetcap import (DuplexConfig, DuplexMode, QoSConfig, Region,
-                    check_theta_constraint, dbm_to_watts, ec_from_components,
-                    ec_lower_bound, mean_rate_from_components,
-                    sample_matern_hcpp, simulate_components)
+from hetcap import (DuplexConfig, DuplexMode, QoSConfig, Region, dbm_to_watts,
+                    ec_from_components, ec_lower_bound,
+                    mean_rate_from_components, sample_matern_hcpp,
+                    simulate_components)
 
 NOISE = dbm_to_watts(-120.0)
 P_UE = dbm_to_watts(23.0)
@@ -40,12 +40,15 @@ for theta in (1e-6, 1e-4, 1e-3, 5e-3):
           f"({estimate.ec / rate:6.1%} of the {rate:.2f} mean rate)")
 
 print("\n== theta guarantee range for the bound ==")
-check = check_theta_constraint(qos)
-print(f"bound guarantee holds up to theta = {check.bound:.3e} 1/bit")
-import warnings
-
+# the bound needs (1 + SINR)^-(share * beta) concave in the interference,
+# i.e. share * beta <= 1; half duplex halves the exponent
+print(f"full duplex: guaranteed up to theta = {qos.theta_bound:.3e} 1/bit")
+print(f"half duplex: guaranteed up to theta = {2 * qos.theta_bound:.3e} 1/bit")
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     strict = QoSConfig(1e-2, 0.5e-3, 180e3)
-print(f"theta = 1e-2 -> within range: {check_theta_constraint(strict).ok}, "
-      f"construction warned: {len(caught) > 0} (warn, never reject)")
+print(f"theta = 1e-2: construction warned: {len(caught) > 0} (warn, never reject)")
+hd = DuplexConfig(DuplexMode.HD, 0.0, 1.0, P_UE)
+for label, setup in (("full", duplex), ("half", hd)):
+    notes = ec_lower_bound(topology, setup, strict, NOISE, 10**4, 21).notes
+    print(f"  {label} duplex bound notes: {', '.join(notes) or 'none'}")

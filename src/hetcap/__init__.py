@@ -5,10 +5,8 @@ hard-core small-cell deployment, plus a Jensen lower bound built on
 closed-form mean-interference formulas whose cost does not grow with the
 network size.
 """
-from .capacity import (CheckResult, ECEstimate, GParams, TrialComponents,
-                       check_theta_constraint, ec_exact_mc,
-                       ec_from_components, ec_lower_bound, g,
-                       g_concavity_check, g_second_derivative,
+from .capacity import (ECEstimate, TrialComponents, ec_exact_mc,
+                       ec_from_components, ec_lower_bound,
                        mean_rate_from_components, simulate_components)
 from .channel import (D_MIN, DuplexConfig, DuplexMode, QoSBoundWarning,
                       QoSConfig, path_loss_gain)
@@ -16,7 +14,7 @@ from .config import (ScenarioConfig, ScenarioFormatError,
                      ScenarioValidationError, dbm_to_watts, emit_benchmark_csv,
                      emit_breakdown_csv, emit_sweep_csv, load_scenario,
                      load_topology, save_scenario, save_topology,
-                     scenario_with, watts_to_dbm)
+                     watts_to_dbm)
 from .experiments import (BenchmarkReport, SweepResult, SweepRow,
                           benchmark_runtime, eta_grid_db, fd_gain,
                           find_crossover, sweep_eta)

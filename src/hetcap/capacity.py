@@ -21,7 +21,8 @@ import numpy as np
 
 from .channel import (DuplexConfig, DuplexMode, QoSConfig, _duplex_terms,
                       _path_loss_gain_sq, path_loss_gain)
-from .geometry import NetworkTopology, SmallCell, disk_points_xy
+from .geometry import (NetworkTopology, SmallCell, disk_points_xy,
+                       sample_uniform_disk_batch)
 from .interference import total_mean_interference
 
 #: Trials per RNG substream; fixed so results never depend on worker count.
@@ -50,59 +51,6 @@ class ECEstimate:
             raise ValueError("ec and std_error must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-
-
-@dataclass(frozen=True)
-class GParams:
-    """Parameters of the capacity-expectation kernel g(s, I)."""
-
-    a: float      # RSI plus noise, watts
-    beta: float
-
-    def __post_init__(self) -> None:
-        if self.a <= 0:
-            raise ValueError("a must be > 0")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-
-
-def g(s, interference, params: GParams):
-    """Capacity-expectation kernel (1 + s/(I+a))^-beta, in (0, 1]."""
-    return (1.0 + s / (interference + params.a)) ** (-params.beta)
-
-
-def g_second_derivative(s, interference, params: GParams):
-    """d^2 g / dI^2 written exactly as derived: negative wherever g is concave."""
-    denom = interference + params.a
-    return (params.beta * s / denom**4
-            * (1.0 + s / denom) ** (-(params.beta + 2.0))
-            * (-2.0 * denom + (params.beta - 1.0) * s))
-
-
-def g_concavity_check(params: GParams, s, i_grid) -> bool:
-    """True iff g is concave in I over the grid.
-
-    Checks the sign of the closed-form second derivative and the sharper
-    sufficient condition beta < 1 + 2/SINR at every grid point.
-    """
-    s = np.asarray(s, dtype=float)
-    i_grid = np.asarray(i_grid, dtype=float)
-    d2 = g_second_derivative(s, i_grid, params)
-    sinr_grid = s / (i_grid + params.a)
-    with np.errstate(divide="ignore"):
-        sharper = params.beta < 1.0 + 2.0 / sinr_grid
-    return bool(np.all(d2 <= 0.0) and np.all(sharper))
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    bound: float
-
-
-def check_theta_constraint(qos: QoSConfig) -> CheckResult:
-    """Whether theta stays within the beta <= 1 guarantee of the lower bound."""
-    return CheckResult(qos.theta <= qos.theta_bound, qos.theta_bound)
 
 
 @dataclass(frozen=True)
@@ -184,8 +132,7 @@ def _simulate_chunk(spec: _KernelSpec, chunk: int, n: int) -> tuple[np.ndarray, 
     """Simulate one trial chunk. Draw order is fixed; see module docstring."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=spec.seed, spawn_key=(_STREAM_TRIALS, chunk)))
-    r_t = spec.tagged_radius * np.sqrt(rng.random(n))
-    th_t = 2.0 * np.pi * rng.random(n)
+    r_t, th_t = sample_uniform_disk_batch(spec.tagged_radius, n, rng)
     signal = spec.tagged_power * rng.exponential(size=n) \
         * path_loss_gain(r_t, spec.tagged_alpha)
 
@@ -198,8 +145,8 @@ def _simulate_chunk(spec: _KernelSpec, chunk: int, n: int) -> tuple[np.ndarray, 
 
     n_other = len(spec.other_xy)
     if n_other:
-        r_i = spec.other_radius[None, :] * np.sqrt(rng.random((n, n_other)))
-        th_i = 2.0 * np.pi * rng.random((n, n_other))
+        r_i, th_i = sample_uniform_disk_batch(spec.other_radius, (n, n_other),
+                                              rng)
         ix, iy = disk_points_xy((spec.other_xy[None, :, 0],
                                  spec.other_xy[None, :, 1]), r_i, th_i)
         d2_ue = _squared_distance(ue_x, ue_y, ix, iy)
@@ -248,13 +195,19 @@ def _reduce_ec(z: np.ndarray, theta: float) -> tuple[float, float]:
     return max(ec, 0.0), se
 
 
-def ec_from_components(components: TrialComponents, duplex: DuplexConfig,
-                       qos: QoSConfig, noise: float) -> ECEstimate:
-    """Exact-MC reduction of precomputed trial components for one duplex setup."""
+def _denominator(components: TrialComponents, duplex: DuplexConfig,
+                 noise: float) -> tuple[np.ndarray, float]:
+    """Per-trial interference + RSI + noise, and the duplex's share of the block."""
     if noise <= 0:
         raise ValueError("noise must be > 0")
     ue_counts, rsi, share = _duplex_terms(duplex)
-    denom = _interference(components, ue_counts) + rsi + noise
+    return _interference(components, ue_counts) + rsi + noise, share
+
+
+def ec_from_components(components: TrialComponents, duplex: DuplexConfig,
+                       qos: QoSConfig, noise: float) -> ECEstimate:
+    """Exact-MC reduction of precomputed trial components for one duplex setup."""
+    denom, share = _denominator(components, duplex, noise)
     z = (1.0 + components.signal / denom) ** (-share * qos.beta)
     ec, se = _reduce_ec(z, qos.theta)
     return ECEstimate(ec, se, components.trials, qos.theta, duplex.mode, "exact_mc")
@@ -263,10 +216,7 @@ def ec_from_components(components: TrialComponents, duplex: DuplexConfig,
 def mean_rate_from_components(components: TrialComponents, duplex: DuplexConfig,
                               qos: QoSConfig, noise: float) -> float:
     """Average bits per block over the same draws; the theta -> 0 reference."""
-    if noise <= 0:
-        raise ValueError("noise must be > 0")
-    ue_counts, rsi, share = _duplex_terms(duplex)
-    denom = _interference(components, ue_counts) + rsi + noise
+    denom, share = _denominator(components, duplex, noise)
     rates = share * qos.bits_per_use * np.log2(1.0 + components.signal / denom)
     return float(rates.mean())
 
@@ -294,18 +244,17 @@ def _lb_reduce(s: np.ndarray, i_mean: float, duplex: DuplexConfig,
 
     ``s`` holds the signal draws of ``_lb_signal_draws``; the standard error
     is the Monte Carlo error of their average. Only this step depends on eta.
+    The bound is guaranteed while the kernel's exponent share * beta is at
+    most 1, so half duplex keeps it up to twice ``qos.theta_bound``.
     """
-    notes: list[str] = []
-    if qos.beta > 1.0:
-        notes.append(f"beta={qos.beta:.4g} > 1: bound not guaranteed")
     _, rsi, share = _duplex_terms(duplex)
-    denom = i_mean + (rsi + noise)
-    z = (1.0 + s / denom) ** (-(share * qos.beta))
-    z_mean = float(z.mean())
-    ec = max(-math.log(z_mean) / qos.theta, 0.0)
-    se = float(z.std(ddof=1)) / math.sqrt(len(s)) / (qos.theta * z_mean)
+    exponent = share * qos.beta
+    notes = ((f"beta={qos.beta:.4g} > 1: bound not guaranteed",)
+             if exponent > 1.0 else ())
+    z = (1.0 + s / (i_mean + (rsi + noise))) ** (-exponent)
+    ec, se = _reduce_ec(z, qos.theta)
     return ECEstimate(ec, se, len(s), qos.theta, duplex.mode,
-                      "lower_bound_analytic", tuple(notes))
+                      "lower_bound_analytic", notes)
 
 
 def _lb_over_duplexes(topology: NetworkTopology, duplexes: list[DuplexConfig],

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 from .channel import DuplexConfig, DuplexMode, QoSConfig
 from .experiments import BenchmarkReport, SweepResult
@@ -97,23 +97,20 @@ class ScenarioConfig:
     def region(self) -> Region:
         return Region(self.macro_radius_m)
 
-    def duplex(self, mode: str | None = None, eta: float | None = None) -> DuplexConfig:
-        return DuplexConfig(
-            DuplexMode(mode or self.duplex_mode),
-            self.eta if eta is None else eta,
-            self.kappa,
-            dbm_to_watts(self.ue_power_dbm))
+    def duplex(self, mode: str | None = None) -> DuplexConfig:
+        return DuplexConfig(DuplexMode(mode or self.duplex_mode), self.eta,
+                            self.kappa, dbm_to_watts(self.ue_power_dbm))
 
     def qos(self) -> QoSConfig:
         return QoSConfig(self.theta_per_bit, self.frame_time_s, self.bandwidth_hz)
 
-    def sample_topology(self, seed: int | None = None) -> NetworkTopology:
+    def sample_topology(self) -> NetworkTopology:
         return sample_matern_hcpp(
             self.region(),
             self.density_per_km2 * 1e-6,
             self.hard_core_m,
             self.pico_radius_m,
-            self.topology_seed if seed is None else seed,
+            self.topology_seed,
             cell_power=dbm_to_watts(self.pico_power_dbm),
             alpha=self.path_loss_exponent,
             macro_power=dbm_to_watts(self.macro_power_dbm))
@@ -297,8 +294,3 @@ def emit_benchmark_csv(report: BenchmarkReport, path: str,
                           "lb_trials": report.lb_trials,
                           "target_std_error": report.target_std_error,
                           **(fingerprint or {})})
-
-
-def scenario_with(config: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """Validated copy with fields replaced."""
-    return replace(config, **overrides)

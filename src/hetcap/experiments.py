@@ -144,32 +144,34 @@ def find_crossover(sweep: SweepResult) -> float | None:
     return float(x0 - y0 * (x1 - x0) / (y1 - y0))
 
 
-def _required_trials(pilot_se: float, pilot_trials: int, target_se: float,
-                     cap: int = 4_000_000) -> int:
+#: Trials in each of ``benchmark_runtime``'s two pilot runs.
+_PILOT_TRIALS = 4000
+
+
+def _required_trials(pilot_se: float, pilot_trials: int, target_se: float) -> int:
     n = int(math.ceil(pilot_trials * (pilot_se / target_se) ** 2))
-    return max(min(n, cap), 1000)
+    return max(min(n, 4_000_000), 1000)
 
 
 def benchmark_runtime(topology: NetworkTopology, duplex: DuplexConfig,
                       qos: QoSConfig, noise: float, target_std_error: float,
-                      seed: int, *, pilot_trials: int = 4000,
-                      repeats: int = 2) -> BenchmarkReport:
+                      seed: int) -> BenchmarkReport:
     """Time the exact estimator against the analytic lower bound.
 
     Both are run to the same capacity standard-error target; trial counts
     come from a pilot run of each estimator (which doubles as warmup). Each
-    timed section takes the fastest of ``repeats`` runs and executes
-    serially, so the comparison is worker-independent.
+    timed section takes the faster of two runs and executes serially, so the
+    comparison is worker-independent.
     """
-    pilot_exact = ec_exact_mc(topology, duplex, qos, noise, pilot_trials, seed)
-    n_exact = _required_trials(pilot_exact.std_error, pilot_trials,
+    pilot_exact = ec_exact_mc(topology, duplex, qos, noise, _PILOT_TRIALS, seed)
+    n_exact = _required_trials(pilot_exact.std_error, _PILOT_TRIALS,
                                target_std_error)
-    pilot_lb = ec_lower_bound(topology, duplex, qos, noise, pilot_trials, seed)
-    n_lb = _required_trials(pilot_lb.std_error, pilot_trials, target_std_error)
+    pilot_lb = ec_lower_bound(topology, duplex, qos, noise, _PILOT_TRIALS, seed)
+    n_lb = _required_trials(pilot_lb.std_error, _PILOT_TRIALS, target_std_error)
 
     def timed(run) -> float:
         best = math.inf
-        for _ in range(max(repeats, 1)):
+        for _ in range(2):
             t0 = time.perf_counter()
             run()
             best = min(best, time.perf_counter() - t0)

@@ -40,10 +40,9 @@ class SaturationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Region:
-    """Circular macro coverage disk."""
+    """Circular macro coverage disk, centred on the macro BS."""
 
     macro_radius: float
-    macro_center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         if self.macro_radius <= 0:
@@ -114,8 +113,8 @@ class NetworkTopology:
                     raise InvalidTopologyError(
                         f"min center distance {closest:.3f} m violates hard core "
                         f"{self.hard_core_distance} m")
-        off = np.hypot(centers[:, 0] - self.region.macro_center[0],
-                       centers[:, 1] - self.region.macro_center[1])
+        off = np.hypot(centers[:, 0] - self.macro_bs.position[0],
+                       centers[:, 1] - self.macro_bs.position[1])
         if (off + radii > self.region.macro_radius + 1e-9).any():
             raise InvalidTopologyError("a small-cell disk crosses the macro boundary")
 
@@ -160,9 +159,13 @@ def _close_pairs(points: np.ndarray,
 
 
 def sample_uniform_disk_batch(
-    radius: float, n: int, rng: np.random.Generator
+    radius: float | np.ndarray, n: int | tuple[int, ...], rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized uniform-in-disk draw; returns (r, theta) arrays of length n."""
+    """Vectorized uniform-in-disk draw; returns (r, theta) arrays of shape n.
+
+    ``radius`` may be an array broadcasting against ``n``, e.g. one radius
+    per column of an (n, cells) draw.
+    """
     r = radius * np.sqrt(rng.random(n))
     theta = 2.0 * np.pi * rng.random(n)
     return r, theta
@@ -175,11 +178,12 @@ def disk_points_xy(center: tuple[float, float], r: np.ndarray,
 
 
 def default_tagged_index(centers: np.ndarray, region: Region) -> int:
-    """Cell nearest to the mid-radius anchor (macro_radius/2, 0)."""
-    anchor = (region.macro_center[0] + region.macro_radius / 2.0,
-              region.macro_center[1])
-    return int(np.argmin(np.hypot(centers[:, 0] - anchor[0],
-                                  centers[:, 1] - anchor[1])))
+    """Cell nearest to the mid-radius anchor (macro_radius/2, 0).
+
+    The anchor is taken from the sampler's macro BS at the origin.
+    """
+    return int(np.argmin(np.hypot(centers[:, 0] - region.macro_radius / 2.0,
+                                  centers[:, 1])))
 
 
 def matern_parent_intensity(target_density: float, hard_core: float,
@@ -211,10 +215,11 @@ def sample_matern_hcpp(
     cell_power: float = 1.0,
     alpha: float = 3.0,
     macro_power: float = 1.0,
-    macro_alpha: float | None = None,
-    tagged_index: int | None = None,
 ) -> NetworkTopology:
     """Sample a Matern type-II hard-core deployment inside the macro disk.
+
+    The macro BS sits at the origin with path-loss exponent ``alpha``, like
+    the cells; the tagged cell is the one ``default_tagged_index`` picks.
 
     ``target_density`` is the retained density in cells per square meter over
     the macro disk. Parents are drawn on a disk dilated by ``hard_core`` so
@@ -250,13 +255,12 @@ def sample_matern_hcpp(
             f"cell radius {cell_radius} m does not fit in macro radius "
             f"{region.macro_radius} m")
 
-    macro = MacroBS(region.macro_center, macro_power,
-                    alpha if macro_alpha is None else macro_alpha)
+    macro = MacroBS((0.0, 0.0), macro_power, alpha)
     rng = np.random.default_rng(seed)
     if target_density == 0 or eligible == 0:
         cells: tuple[SmallCell, ...] = ()
         if target_density > 0 and eligible == 0:
-            cells = (SmallCell(region.macro_center, cell_radius, cell_power, alpha),)
+            cells = (SmallCell(macro.position, cell_radius, cell_power, alpha),)
         idx = 0 if cells else None
         return NetworkTopology(macro, cells, hard_core, idx, region)
 
@@ -283,7 +287,7 @@ def sample_matern_hcpp(
     n_parent = rng.poisson(expected_parents)
     r, theta = sample_uniform_disk_batch(extended, n_parent, rng)
     marks = rng.random(n_parent)
-    x, y = disk_points_xy(region.macro_center, r, theta)
+    x, y = disk_points_xy(macro.position, r, theta)
     pts = np.column_stack([x, y])
     # type II: a parent survives when its mark is below every rival's mark
     # within the hard core
@@ -297,5 +301,5 @@ def sample_matern_hcpp(
                   for cx, cy in centers)
     if not cells:
         return NetworkTopology(macro, (), hard_core, None, region)
-    idx = default_tagged_index(centers, region) if tagged_index is None else tagged_index
-    return NetworkTopology(macro, cells, hard_core, idx, region)
+    return NetworkTopology(macro, cells, hard_core,
+                           default_tagged_index(centers, region), region)

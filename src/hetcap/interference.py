@@ -64,12 +64,11 @@ def mean_pathloss_taylor(d: float, cell_radius: float, alpha: float) -> float:
     return d ** (-alpha) * bracket
 
 
-def mean_pathloss_numeric(d: float, cell_radius: float, alpha: float,
-                          tolerance: float = 1e-8) -> float:
+def mean_pathloss_numeric(d: float, cell_radius: float, alpha: float) -> float:
     """Disk-averaged path loss by adaptive 2-D quadrature in polar form.
 
     Evaluates (1/(pi R^2)) * int_0^2pi int_0^R (d^2 + r^2 - 2 d r cos t)^(-alpha/2)
-    r dr dt to the requested relative tolerance. Validation oracle for the
+    r dr dt to relative tolerance 1e-8. Validation oracle for the
     closed forms; independent of them.
     """
     if d <= 0:
@@ -89,7 +88,7 @@ def mean_pathloss_numeric(d: float, cell_radius: float, alpha: float,
         return (d * d + r * r - 2.0 * d * r * np.cos(t)) ** (-alpha / 2.0) * r
 
     value, _ = integrate.dblquad(integrand, 0.0, 2.0 * np.pi, 0.0, cell_radius,
-                                 epsabs=0.0, epsrel=tolerance)
+                                 epsabs=0.0, epsrel=1e-8)
     return value / (np.pi * cell_radius**2)
 
 

@@ -74,3 +74,37 @@ def fixed_draws(monkeypatch):
     """
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *args, **kwargs: _FixedDraws())
+
+
+# -- the lemma behind the Jensen bound -----------------------------------------
+# g(s, I) = (1 + s/(I+a))^-beta is concave in the interference I when
+# beta <= 1, so freezing I at its mean gives a lower bound. These closed forms
+# are oracles for that lemma; the library evaluates g only inside its
+# reductions, where exp(-theta * EC) of one trial is g of that trial.
+
+def g(s, interference, a, beta):
+    """Capacity-expectation kernel (1 + s/(I+a))^-beta, in (0, 1]."""
+    return (1.0 + s / (interference + a)) ** (-beta)
+
+
+def g_second_derivative(s, interference, a, beta):
+    """d^2 g / dI^2 written exactly as derived: negative wherever g is concave."""
+    denom = interference + a
+    return (beta * s / denom**4
+            * (1.0 + s / denom) ** (-(beta + 2.0))
+            * (-2.0 * denom + (beta - 1.0) * s))
+
+
+def g_is_concave(s, i_grid, a, beta) -> bool:
+    """True iff g is concave in I over the grid.
+
+    Checks the sign of the closed-form second derivative and the sharper
+    sufficient condition beta < 1 + 2/SINR at every grid point.
+    """
+    s = np.asarray(s, dtype=float)
+    i_grid = np.asarray(i_grid, dtype=float)
+    d2 = g_second_derivative(s, i_grid, a, beta)
+    sinr_grid = s / (i_grid + a)
+    with np.errstate(divide="ignore"):
+        sharper = beta < 1.0 + 2.0 / sinr_grid
+    return bool(np.all(d2 <= 0.0) and np.all(sharper))

@@ -17,12 +17,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import NOISE, P_MACRO, P_PICO, P_UE
+from conftest import (NOISE, P_MACRO, P_PICO, P_UE, g, g_is_concave,
+                      g_second_derivative)
 
-from hetcap import (DuplexConfig, DuplexMode, GParams, QoSConfig, Region,
-                    SaturationWarning, benchmark_runtime, ec_exact_mc,
-                    ec_from_components, ec_lower_bound, eta_grid_db, fd_gain,
-                    find_crossover, g, g_concavity_check, g_second_derivative,
+from hetcap import (DuplexConfig, DuplexMode, QoSConfig, Region,
+                    SaturationWarning, TrialComponents, benchmark_runtime,
+                    ec_exact_mc, ec_from_components, ec_lower_bound,
+                    eta_grid_db, fd_gain, find_crossover,
                     mean_interference_bs_ue, mean_interference_ue_ue,
                     mean_pathloss_numeric, mean_pathloss_taylor,
                     mean_rate_from_components, sample_matern_hcpp,
@@ -216,7 +217,21 @@ def test_criterion_07_hd_invariance(figure_sweeps):
 
 def test_criterion_08_concavity():
     """Concavity holds on 10^4 random tuples; closed-form second derivative
-    matches central finite differences to 1e-4 relative."""
+    matches central finite differences to 1e-4 relative.
+
+    The kernel g checked here is the one the library reduces: on a single
+    trial, exp(-theta * EC) from ``ec_from_components`` equals g.
+    """
+    a, s, i = 2e-12, 3e-9, 5e-10
+    qos = QoSConfig(0.7 / (0.5e-3 * 180e3 * math.log2(math.e)), 0.5e-3, 180e3)
+    one_trial = TrialComponents(np.array([s]), np.array([i]), np.array([0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # SE of one trial
+        ec = ec_from_components(one_trial, DuplexConfig(DuplexMode.FD, 0.0,
+                                                        1.0, P_UE), qos, a)
+    assert math.exp(-qos.theta * ec.ec) == pytest.approx(
+        g(s, i, a, qos.beta), rel=1e-12)
+
     rng = np.random.default_rng(8)
     n = 10**4
     checked = 0
@@ -227,8 +242,7 @@ def test_criterion_08_concavity():
         beta = float(rng.uniform(0.0, 1.0))
         s = float(10 ** rng.uniform(-4, 2))
         i = float(10 ** rng.uniform(-4, 2))
-        params = GParams(a, beta)
-        if not g_concavity_check(params, s, i):
+        if not g_is_concave(s, i, a, beta):
             report(8, False, f"concavity violated at a={a}, beta={beta}, "
                              f"s={s}, I={i}")
             assert False
@@ -239,14 +253,14 @@ def test_criterion_08_concavity():
             continue
 
         def central(h):
-            return (g(s, i + h, params) - 2 * g(s, i, params)
-                    + g(s, i - h, params)) / h**2
+            return (g(s, i + h, a, beta) - 2 * g(s, i, a, beta)
+                    + g(s, i - h, a, beta)) / h**2
 
         # Richardson-extrapolated central difference: kills the h^2 term so
         # a step large enough to beat roundoff stays inside the tolerance
         h = 1e-2 * (i + a)
         fd2 = (4.0 * central(h / 2) - central(h)) / 3.0
-        exact = g_second_derivative(s, i, params)
+        exact = g_second_derivative(s, i, a, beta)
         rel = abs(fd2 - exact) / abs(exact)
         worst_rel = max(worst_rel, rel)
         fd_checked += 1

@@ -3,56 +3,47 @@ import math
 import numpy as np
 import pytest
 
-from conftest import NOISE, P_UE
+from conftest import NOISE, P_UE, g, g_is_concave, g_second_derivative
 
-from hetcap import (CheckResult, DuplexConfig, DuplexMode, GParams, QoSConfig,
-                    check_theta_constraint, ec_exact_mc, ec_from_components,
-                    ec_lower_bound, g, g_concavity_check, g_second_derivative,
+from hetcap import (DuplexConfig, DuplexMode, QoSConfig, ec_exact_mc,
+                    ec_from_components, ec_lower_bound,
                     mean_rate_from_components, simulate_components,
                     total_mean_interference)
 
 
 class TestG:
+    """The test-side kernel the concavity lemma is checked on."""
+
     def test_zero_signal(self):
-        assert g(0.0, 5.0, GParams(1.0, 0.7)) == 1.0
+        assert g(0.0, 5.0, 1.0, 0.7) == 1.0
 
     def test_zero_beta(self):
-        assert g(3.0, 2.0, GParams(1.0, 0.0)) == 1.0
+        assert g(3.0, 2.0, 1.0, 0.0) == 1.0
 
     def test_reference_value(self):
-        assert g(3.0, 0.0, GParams(1.0, 1.0)) == pytest.approx(0.25)
+        assert g(3.0, 0.0, 1.0, 1.0) == pytest.approx(0.25)
 
     def test_range(self, rng):
-        params = GParams(1e-3, 0.8)
         s = rng.uniform(0, 10, 1000)
         i = rng.uniform(0, 10, 1000)
-        values = g(s, i, params)
+        values = g(s, i, 1e-3, 0.8)
         assert ((values > 0) & (values <= 1)).all()
-
-    def test_params_invariants(self):
-        with pytest.raises(ValueError):
-            GParams(0.0, 0.5)
-        with pytest.raises(ValueError):
-            GParams(1.0, -0.1)
 
 
 class TestConcavity:
     def test_true_for_beta_half(self, rng):
-        params = GParams(0.3, 0.5)
         s = rng.uniform(0.01, 50, 300)
         i = rng.uniform(0, 50, 300)
-        assert g_concavity_check(params, s, i)
+        assert g_is_concave(s, i, 0.3, 0.5)
 
     def test_true_at_beta_one(self, rng):
-        params = GParams(1.0, 1.0)
         s = rng.uniform(0.01, 50, 300)
         i = rng.uniform(0, 50, 300)
-        assert g_concavity_check(params, s, i)
+        assert g_is_concave(s, i, 1.0, 1.0)
 
     def test_false_beyond_sharper_condition(self):
         # beta = 5 with SINR = 10 violates beta < 1 + 2/SINR
-        params = GParams(1.0, 5.0)
-        assert not g_concavity_check(params, 10.0, 0.0)
+        assert not g_is_concave(10.0, 0.0, 1.0, 5.0)
 
     def test_second_derivative_matches_finite_differences(self, rng):
         for _ in range(200):
@@ -60,28 +51,29 @@ class TestConcavity:
             beta = float(rng.uniform(0.05, 1.0))
             s = float(10 ** rng.uniform(-4, 2))
             i = float(10 ** rng.uniform(-4, 2))
-            params = GParams(a, beta)
             h = 1e-3 * (i + a)
-            fd = (g(s, i + h, params) - 2 * g(s, i, params)
-                  + g(s, i - h, params)) / h**2
+            fd = (g(s, i + h, a, beta) - 2 * g(s, i, a, beta)
+                  + g(s, i - h, a, beta)) / h**2
             if i - h < 0:
                 continue
-            exact = g_second_derivative(s, i, params)
+            exact = g_second_derivative(s, i, a, beta)
             assert fd == pytest.approx(exact, rel=1e-4)
 
 
 class TestThetaConstraint:
     def test_reference_theta_ok(self):
-        check = check_theta_constraint(QoSConfig(1e-3, 0.5e-3, 180e3))
-        assert check == CheckResult(True, pytest.approx(1 / (90 * math.log2(math.e))))
+        qos = QoSConfig(1e-3, 0.5e-3, 180e3)
+        assert qos.theta_bound == pytest.approx(1 / (90 * math.log2(math.e)))
+        assert qos.theta <= qos.theta_bound
 
     def test_large_theta_warns(self):
         with pytest.warns(UserWarning):
             qos = QoSConfig(1e-1, 0.5e-3, 180e3)
-        assert not check_theta_constraint(qos).ok
+        assert qos.theta > qos.theta_bound
 
     def test_loose_theta_ok(self):
-        assert check_theta_constraint(QoSConfig(1e-9, 0.5e-3, 180e3)).ok
+        qos = QoSConfig(1e-9, 0.5e-3, 180e3)
+        assert qos.theta <= qos.theta_bound
 
 
 class TestExactMonteCarlo:
@@ -245,6 +237,19 @@ class TestLowerBound:
             qos = QoSConfig(2e-2, 0.5e-3, 180e3)
         lb = ec_lower_bound(sparse_topology, fd_duplex, qos, NOISE, 5000, 23)
         assert any("not guaranteed" in note for note in lb.notes)
+
+    def test_half_duplex_guarantee_uses_halved_exponent(self, sparse_topology,
+                                                       fd_duplex, hd_duplex):
+        # HD averages (1 + SINR)^(-beta/2), concave in I up to beta = 2
+        theta_bound = 1 / (90 * math.log2(math.e))
+        for beta, hd_noted in ((1.5, False), (2.5, True)):
+            with pytest.warns(UserWarning):
+                qos = QoSConfig(beta * theta_bound, 0.5e-3, 180e3)
+            fd, hd = (ec_lower_bound(sparse_topology, duplex, qos, NOISE,
+                                     2000, 23)
+                      for duplex in (fd_duplex, hd_duplex))
+            assert fd.notes == (f"beta={qos.beta:.4g} > 1: bound not guaranteed",)
+            assert bool(hd.notes) is hd_noted
 
     def test_randomized_jensen_ordering(self, rng):
         # compact version of the acceptance sweep: 15 random valid scenarios

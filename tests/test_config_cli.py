@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hetcap import (ScenarioConfig, ScenarioFormatError,
+from hetcap import (InvalidTopologyError, ScenarioConfig, ScenarioFormatError,
                     ScenarioValidationError, dbm_to_watts, emit_benchmark_csv,
                     emit_breakdown_csv, emit_sweep_csv, load_scenario,
                     load_topology, save_scenario, save_topology, watts_to_dbm)
@@ -110,6 +110,23 @@ class TestTopologyFiles:
             assert a.center == pytest.approx(b.center)
             assert a.power == pytest.approx(b.power, rel=1e-12)
 
+    @pytest.mark.parametrize("macro_x, cell_x, accepted", [
+        (900.0, -850.0, False),   # cell 1750 m from the macro BS
+        (5000.0, 5400.0, True),   # whole deployment shifted by 5 km
+    ])
+    def test_macro_disk_centred_on_macro_bs(self, tmp_path, macro_x, cell_x,
+                                            accepted):
+        path = tmp_path / "shifted.txt"
+        path.write_text(f"macro_radius_m = 1000\nmacro_x_m = {macro_x}\n"
+                        "macro_power_dbm = 46\nhard_core_m = 180\n"
+                        "tagged_index = 0\n"
+                        f"cell = {cell_x} 0 90 35 3\n")
+        if accepted:
+            assert load_topology(str(path)).macro_bs.position == (macro_x, 0.0)
+        else:
+            with pytest.raises(InvalidTopologyError, match="macro boundary"):
+                load_topology(str(path))
+
     def test_missing_key_reported(self, tmp_path):
         path = tmp_path / "broken.txt"
         path.write_text("macro_radius_m = 1000\n")
@@ -205,6 +222,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mean rate" in out
         assert "theta" in out
+
+    def test_limits_simulates_once_for_both_modes(self, quick_scenario,
+                                                  monkeypatch, capsys):
+        from hetcap import capacity
+
+        simulate = capacity.simulate_components
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "simulate_components", counted)
+        assert main(["limits", "--scenario", quick_scenario]) == 0
+        assert len(calls) == 1
+        # the output of one simulation per mode, which drew the same trials
+        assert capsys.readouterr().out == (
+            "theta = 1.000e-03 1/bit, guarantee bound 7.702e-03 -> ok\n"
+            "hd: EC(theta=1e-6) = 220.772, mean rate = 220.779 bits/block, "
+            "rel diff 3.32e-05\n"
+            "fd: EC(theta=1e-6) = 435.660, mean rate = 435.689 bits/block, "
+            "rel diff 6.65e-05\n")
 
     def test_validation_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"

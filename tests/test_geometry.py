@@ -182,7 +182,7 @@ def replay_parents(region, density, hard_core, cell_radius, seed):
     n = rng.poisson(intensity * math.pi * extended**2)
     r, theta = sample_uniform_disk_batch(extended, n, rng)
     marks = rng.random(n)
-    x, y = disk_points_xy(region.macro_center, r, theta)
+    x, y = disk_points_xy((0.0, 0.0), r, theta)
     return np.column_stack([x, y]), r, marks, eligible
 
 
