@@ -28,6 +28,9 @@ from .interference import total_mean_interference
 #: Trials per RNG substream; fixed so results never depend on worker count.
 CHUNK_TRIALS = 8192
 
+#: Trials per cache-sized row block of a chunk; the output does not depend on it.
+_BLOCK_ROWS = 256
+
 #: spawn_key namespaces keeping the lower bound's signal stream disjoint
 #: from the exact-MC trial streams.
 _STREAM_TRIALS = 0
@@ -47,8 +50,8 @@ class ECEstimate:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.ec < 0 or self.std_error < 0:
-            raise ValueError("ec and std_error must be >= 0")
+        if not (self.ec >= 0 and self.std_error >= 0):
+            raise ValueError("ec and std_error must be >= 0, not NaN")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -128,34 +131,58 @@ def _squared_distance(x: np.ndarray, y: np.ndarray, px, py) -> np.ndarray:
     return dx
 
 
+def _faded_sum(rng: np.random.Generator, d2: np.ndarray, alpha,
+               power) -> np.ndarray:
+    """Per-row sum of power * unit-mean fading * path-loss gain at ``d2``."""
+    h = rng.exponential(size=d2.shape)
+    h *= power
+    h *= _path_loss_gain_sq(d2, alpha)
+    return h.sum(axis=1)
+
+
 def _simulate_chunk(spec: _KernelSpec, chunk: int, n: int) -> tuple[np.ndarray, ...]:
-    """Simulate one trial chunk. Draw order is fixed; see module docstring."""
+    """Simulate one chunk of ``n`` trials: signal, BS and UE interference.
+
+    Draw order is fixed: tagged-UE radii and angles, signal fading, BS
+    fading, uplink-UE radii and angles, UE fading. An uplink UE's angle t
+    runs from the ray from its cell centre toward the tagged UE, on [0, pi):
+    the distance depends on t only through cos t, whose law is the same as
+    for a global angle. With rho = |tagged UE - centre|, the squared distance
+    (rho - r)^2 + 4 rho r sin^2(t/2) is never negative and costs one sine.
+    Fading and per-link work run in cache-sized row blocks of
+    ``_BLOCK_ROWS`` trials; rows are summed whole, so the output does not
+    depend on the block length.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=spec.seed, spawn_key=(_STREAM_TRIALS, chunk)))
     r_t, th_t = sample_uniform_disk_batch(spec.tagged_radius, n, rng)
     signal = spec.tagged_power * rng.exponential(size=n) \
         * path_loss_gain(r_t, spec.tagged_alpha)
-
     ue_x, ue_y = disk_points_xy(spec.tagged_center, r_t, th_t)
-    d2_bs = _squared_distance(ue_x, ue_y, spec.bs_xy[:, 0], spec.bs_xy[:, 1])
-    h_bs = rng.exponential(size=d2_bs.shape)
-    h_bs *= spec.bs_power[None, :]
-    h_bs *= _path_loss_gain_sq(d2_bs, spec.bs_alpha)
-    i_bs = h_bs.sum(axis=1)
+    blocks = [slice(a, a + _BLOCK_ROWS) for a in range(0, n, _BLOCK_ROWS)]
+    i_bs = np.empty(n)
+    for blk in blocks:
+        d2 = _squared_distance(ue_x[blk], ue_y[blk], spec.bs_xy[:, 0],
+                               spec.bs_xy[:, 1])
+        i_bs[blk] = _faded_sum(rng, d2, spec.bs_alpha, spec.bs_power)
 
-    n_other = len(spec.other_xy)
-    if n_other:
-        r_i, th_i = sample_uniform_disk_batch(spec.other_radius, (n, n_other),
-                                              rng)
-        ix, iy = disk_points_xy((spec.other_xy[None, :, 0],
-                                 spec.other_xy[None, :, 1]), r_i, th_i)
-        d2_ue = _squared_distance(ue_x, ue_y, ix, iy)
-        h_ue = rng.exponential(size=d2_ue.shape)
-        h_ue *= spec.ue_tx_power
-        h_ue *= _path_loss_gain_sq(d2_ue, spec.other_alpha)
-        i_ue = h_ue.sum(axis=1)
-    else:
-        i_ue = np.zeros(n)
+    u = rng.random((n, len(spec.other_xy)))     # r = R sqrt(u)
+    v = rng.random(u.shape)                     # t = pi v
+    i_ue = np.empty(n)
+    for blk in blocks:
+        rho = np.sqrt(_squared_distance(ue_x[blk], ue_y[blk],
+                                        spec.other_xy[:, 0], spec.other_xy[:, 1]))
+        r = np.sqrt(u[blk], out=u[blk])
+        r *= spec.other_radius
+        c = np.sin(np.multiply(v[blk], 0.5 * np.pi, out=v[blk]), out=v[blk])
+        c *= c
+        c *= rho
+        c *= r
+        c *= 4.0                                # 4 rho r sin^2(t/2)
+        d2 = rho - r
+        d2 *= d2
+        d2 += c
+        i_ue[blk] = _faded_sum(rng, d2, spec.other_alpha, spec.ue_tx_power)
     return signal, i_bs, i_ue
 
 
@@ -191,6 +218,8 @@ def _reduce_ec(z: np.ndarray, theta: float) -> tuple[float, float]:
     """EC and its delta-method standard error from per-trial g values."""
     z_mean = float(z.mean())
     ec = -math.log(z_mean) / theta
+    if len(z) < 2:      # one trial has no spread to estimate
+        return max(ec, 0.0), math.inf
     se = float(z.std(ddof=1)) / math.sqrt(len(z)) / (theta * z_mean)
     return max(ec, 0.0), se
 

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import capacity, config, experiments, interference
+from .channel import _duplex_terms
 from .geometry import InvalidTopologyError
 
 
@@ -192,19 +193,20 @@ def _cmd_limits(args) -> int:
     cfg = _load(args)
     topology = _topology(cfg)
     qos = cfg.qos()
-    status = "ok" if qos.theta <= qos.theta_bound else "warn: bound exceeded"
-    print(f"theta = {qos.theta:.3e} 1/bit, guarantee bound "
-          f"{qos.theta_bound:.3e} -> {status}")
+    modes = ("hd", "fd") if args.mode == "both" else (args.mode,)
+    duplexes = [cfg.duplex(mode=mode) for mode in modes]
+    # a mode's exponent is share * beta, so its guarantee is theta_bound / share
+    bound = min(qos.theta_bound / _duplex_terms(duplex)[2] for duplex in duplexes)
+    status = "ok" if qos.theta <= bound else "warn: bound exceeded"
+    print(f"theta = {qos.theta:.3e} 1/bit, guarantee bound {bound:.3e} -> {status}")
 
     loose = replace(cfg, theta_per_bit=1e-6)
-    modes = ("hd", "fd") if args.mode == "both" else (args.mode,)
     # one set of draws serves both modes: UE power and seed do not depend on it
     components = capacity.simulate_components(
         topology, config.dbm_to_watts(cfg.ue_power_dbm), cfg.trials,
         cfg.trial_seed, workers=args.workers)
     worst = 0.0
-    for mode in modes:
-        duplex = cfg.duplex(mode=mode)
+    for mode, duplex in zip(modes, duplexes):
         ec = capacity.ec_from_components(components, duplex, loose.qos(),
                                          cfg.noise_watts)
         rate = capacity.mean_rate_from_components(components, duplex, qos,

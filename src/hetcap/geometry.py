@@ -2,7 +2,8 @@
 
 Distances are in meters and powers in watts throughout. Polar angles are
 radians in [0, 2*pi) against the global +x axis, so an absolute position is
-``center + (r cos t, r sin t)``.
+``center + (r cos t, r sin t)``. The trial kernel alone measures uplink-UE
+angles from the ray toward the tagged UE; see ``capacity._simulate_chunk``.
 """
 from __future__ import annotations
 
@@ -159,13 +160,9 @@ def _close_pairs(points: np.ndarray,
 
 
 def sample_uniform_disk_batch(
-    radius: float | np.ndarray, n: int | tuple[int, ...], rng: np.random.Generator
+    radius: float, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized uniform-in-disk draw; returns (r, theta) arrays of shape n.
-
-    ``radius`` may be an array broadcasting against ``n``, e.g. one radius
-    per column of an (n, cells) draw.
-    """
+    """Vectorized uniform-in-disk draw; returns (r, theta) arrays of length n."""
     r = radius * np.sqrt(rng.random(n))
     theta = 2.0 * np.pi * rng.random(n)
     return r, theta

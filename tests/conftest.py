@@ -67,10 +67,12 @@ class _FixedDraws:
 
 @pytest.fixture
 def fixed_draws(monkeypatch):
-    """Every library draw degenerate: each UE at (cx, cy + R/2), fading 1.
+    """Every library draw degenerate: each UE at radius R/2, fading 1.
 
-    A uniform draw of 0.25 gives radius R*sqrt(0.25) = R/2 and angle
-    2*pi*0.25 = pi/2 in every cell, so each link has one Cartesian length.
+    A uniform draw of 0.25 gives radius R*sqrt(0.25) = R/2 in every cell.
+    The tagged UE sits at angle 2*pi*0.25 = pi/2, at (cx, cy + R/2); an
+    uplink UE at angle pi*0.25 = pi/4 from the ray from its cell centre
+    toward the tagged UE. Each link then has one Cartesian length.
     """
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *args, **kwargs: _FixedDraws())

@@ -226,7 +226,7 @@ def test_criterion_08_concavity():
     qos = QoSConfig(0.7 / (0.5e-3 * 180e3 * math.log2(math.e)), 0.5e-3, 180e3)
     one_trial = TrialComponents(np.array([s]), np.array([i]), np.array([0.0]))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # SE of one trial
+        warnings.simplefilter("error", RuntimeWarning)  # one trial's SE is inf
         ec = ec_from_components(one_trial, DuplexConfig(DuplexMode.FD, 0.0,
                                                         1.0, P_UE), qos, a)
     assert math.exp(-qos.theta * ec.ec) == pytest.approx(

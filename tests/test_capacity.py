@@ -1,14 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import NOISE, P_UE, g, g_is_concave, g_second_derivative
+from scipy import stats
 
-from hetcap import (DuplexConfig, DuplexMode, QoSConfig, ec_exact_mc,
+from conftest import (NOISE, P_MACRO, P_PICO, P_UE, g, g_is_concave,
+                      g_second_derivative)
+
+from hetcap import (DuplexConfig, DuplexMode, ECEstimate, MacroBS,
+                    NetworkTopology, QoSConfig, Region, SmallCell, ec_exact_mc,
                     ec_from_components, ec_lower_bound,
-                    mean_rate_from_components, simulate_components,
-                    total_mean_interference)
+                    mean_rate_from_components, sample_matern_hcpp,
+                    simulate_components, total_mean_interference)
+from hetcap import capacity
+from hetcap.channel import path_loss_gain
+from hetcap.geometry import disk_points_xy, sample_uniform_disk_batch
 
 
 class TestG:
@@ -333,18 +341,108 @@ class TestSquaredDistanceKernel:
         macro = MacroBS((0.0, 0.0), 39.81, 3.6)
         topology = NetworkTopology(macro, cells, 180.0, 0, Region(1000.0))
         comp = simulate_components(topology, P_UE, 5, 1)
+        tagged, others = cells[0], cells[1:]
+        victim = (tagged.center[0], tagged.center[1] + tagged.radius / 2.0)
 
-        def ue(cell):
-            return (cell.center[0], cell.center[1] + cell.radius / 2.0)
+        def uplink_ue(cell):
+            # angle pi/4 from the ray from the cell centre toward the victim
+            phi = math.atan2(victim[1] - cell.center[1],
+                             victim[0] - cell.center[0]) + math.pi / 4.0
+            return (cell.center[0] + cell.radius / 2.0 * math.cos(phi),
+                    cell.center[1] + cell.radius / 2.0 * math.sin(phi))
 
         def gain(a, b, alpha):
             return max(math.hypot(a[0] - b[0], a[1] - b[1]), 1.0) ** -alpha
 
-        tagged, others = cells[0], cells[1:]
-        signal = tagged.power * gain(ue(tagged), tagged.center, tagged.alpha)
-        i_bs = macro.power * gain(ue(tagged), macro.position, macro.alpha) \
-            + sum(c.power * gain(ue(tagged), c.center, c.alpha) for c in others)
-        i_ue = sum(P_UE * gain(ue(tagged), ue(c), c.alpha) for c in others)
+        signal = tagged.power * gain(victim, tagged.center, tagged.alpha)
+        i_bs = macro.power * gain(victim, macro.position, macro.alpha) \
+            + sum(c.power * gain(victim, c.center, c.alpha) for c in others)
+        i_ue = sum(P_UE * gain(victim, uplink_ue(c), c.alpha) for c in others)
         for got, want in ((comp.signal, signal), (comp.bs_interference, i_bs),
                           (comp.ue_interference, i_ue)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+class TestBlockedKernel:
+    """Row blocks and ray-frame uplink angles against global-frame replays."""
+
+    def test_signal_and_bs_interference_match_global_frame_replay(
+            self, sparse_topology):
+        # replay the stream's first three draws whole, with every position in
+        # the global frame: the uplink-UE frame leaves these links' bits alone
+        spec = capacity._kernel_spec(sparse_topology, P_UE, 5)
+        n = 1808
+        signal, i_bs, _ = capacity._simulate_chunk(spec, 2, n)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=5, spawn_key=(0, 2)))
+        r_t, th_t = sample_uniform_disk_batch(spec.tagged_radius, n, rng)
+        want_signal = spec.tagged_power * rng.exponential(size=n) \
+            * path_loss_gain(r_t, spec.tagged_alpha)
+        x, y = disk_points_xy(spec.tagged_center, r_t, th_t)
+        d2 = (x[:, None] - spec.bs_xy[:, 0]) ** 2 \
+            + (y[:, None] - spec.bs_xy[:, 1]) ** 2
+        h = rng.exponential(size=d2.shape) * spec.bs_power
+        h *= np.maximum(d2, 1.0) ** (-0.5 * spec.bs_alpha)
+        np.testing.assert_array_equal(signal, want_signal)
+        np.testing.assert_array_equal(i_bs, h.sum(axis=1))
+
+    @pytest.mark.parametrize("n", [1, 1808, 8192])
+    @pytest.mark.parametrize("rows", [1, 7, 8192])
+    def test_output_does_not_depend_on_block_rows(self, sparse_topology,
+                                                  monkeypatch, n, rows):
+        spec = capacity._kernel_spec(sparse_topology, P_UE, 5)
+        want = capacity._simulate_chunk(spec, 1, n)
+        monkeypatch.setattr(capacity, "_BLOCK_ROWS", rows)
+        for got, expected in zip(capacity._simulate_chunk(spec, 1, n), want):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_ue_interference_matches_global_frame_law(self):
+        # an independent sample with global-frame angles; the two 1 m disks
+        # touch, so the 1 m path-loss clamp acts on ~5% of links
+        tagged = SmallCell((300.0, 0.0), 1.0, 1.0, 3.0)
+        other = SmallCell((302.0, 0.0), 1.0, 1.0, 3.0)
+        topology = NetworkTopology(MacroBS((0.0, 0.0), 1.0, 3.0),
+                                   (tagged, other), 2.0, 0, Region(1000.0))
+        n = 20000
+        got = simulate_components(topology, P_UE, n, 3).ue_interference
+        rng = np.random.default_rng(4)
+        ux, uy = disk_points_xy(tagged.center, *sample_uniform_disk_batch(
+            tagged.radius, n, rng))
+        ix, iy = disk_points_xy(other.center, *sample_uniform_disk_batch(
+            other.radius, n, rng))
+        dist = np.hypot(ux - ix, uy - iy)
+        assert (dist < 1.0).mean() > 0.03
+        want = P_UE * rng.exponential(size=n) * np.maximum(dist, 1.0) ** -3.0
+        assert stats.ks_2samp(got, want).pvalue > 0.01
+
+    def test_chunk_peak_memory(self):
+        # a full chunk at M=157 keeps its uplink radius and angle draws and
+        # cache-sized blocks, not a dozen (trials, cells) arrays
+        topology = sample_matern_hcpp(Region(1000.0), 157 / math.pi * 1e-6,
+                                      50.0, 25.0, 50, cell_power=P_PICO,
+                                      alpha=3.0, macro_power=P_MACRO)
+        m = len(topology.small_cells)
+        assert m == 157
+        spec = capacity._kernel_spec(topology, P_UE, 1)
+        n = capacity.CHUNK_TRIALS
+        tracemalloc.start()
+        try:
+            capacity._simulate_chunk(spec, 0, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * m * 8
+
+
+class TestOneTrial:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_standard_error_is_inf(self, sparse_topology, fd_duplex,
+                                   qos_default):
+        est = ec_exact_mc(sparse_topology, fd_duplex, qos_default, NOISE, 1, 3)
+        assert est.trials == 1 and math.isfinite(est.ec)
+        assert est.std_error == math.inf
+
+    @pytest.mark.parametrize("ec,se", [(math.nan, 0.1), (1.0, math.nan)])
+    def test_estimate_rejects_nan(self, ec, se):
+        with pytest.raises(ValueError, match="NaN"):
+            ECEstimate(ec, se, 10, 1e-3, DuplexMode.FD, "exact_mc")

@@ -242,8 +242,22 @@ class TestCli:
             "theta = 1.000e-03 1/bit, guarantee bound 7.702e-03 -> ok\n"
             "hd: EC(theta=1e-6) = 220.772, mean rate = 220.779 bits/block, "
             "rel diff 3.32e-05\n"
-            "fd: EC(theta=1e-6) = 435.660, mean rate = 435.689 bits/block, "
+            "fd: EC(theta=1e-6) = 435.628, mean rate = 435.657 bits/block, "
             "rel diff 6.65e-05\n")
+
+    @pytest.mark.filterwarnings("ignore::hetcap.QoSBoundWarning")
+    @pytest.mark.parametrize("mode,status", [
+        ("hd", "guarantee bound 1.540e-02 -> ok"),
+        ("fd", "guarantee bound 7.702e-03 -> warn: bound exceeded"),
+        ("both", "guarantee bound 7.702e-03 -> warn: bound exceeded")])
+    def test_limits_guarantee_follows_mode(self, tmp_path, capsys, mode,
+                                           status):
+        # half duplex halves the exponent, so its guarantee is twice as wide
+        path = tmp_path / "scenario.txt"
+        path.write_text("theta_per_bit = 1.2e-2\ntrials = 500\n")
+        main(["limits", "--scenario", str(path), "--mode", mode])
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == f"theta = 1.200e-02 1/bit, {status}"
 
     def test_validation_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"

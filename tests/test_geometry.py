@@ -129,8 +129,10 @@ class TestInterfererDistance:
 
     def test_matches_cartesian_oracle(self):
         # replay the kernel's stream (draw order: tagged radius and angle,
-        # signal fading, BS fading, interferer radii and angles, UE fading)
-        # and measure every link with hypot on the Cartesian positions
+        # signal fading, BS fading, interferer radii and angles, UE fading),
+        # place the interferer at angle pi * v from the ray from its centre
+        # toward the tagged UE, and measure every link with hypot on the
+        # Cartesian positions
         tagged = SmallCell((300.0, 0.0), 90.0, 1.0, 3.0)
         other = SmallCell((-100.0, 200.0), 60.0, 1.0, 3.5)
         n = 1000
@@ -140,10 +142,12 @@ class TestInterfererDistance:
         r_t, th_t = sample_uniform_disk_batch(tagged.radius, n, rng)
         rng.exponential(size=n)
         rng.exponential(size=(n, 2))
-        r_i, th_i = sample_uniform_disk_batch(other.radius, n, rng)
+        r_i = other.radius * np.sqrt(rng.random(n))
+        t_i = np.pi * rng.random(n)
         h = rng.exponential(size=n)
         ux, uy = disk_points_xy(tagged.center, r_t, th_t)
-        ix, iy = disk_points_xy(other.center, r_i, th_i)
+        phi = np.arctan2(uy - other.center[1], ux - other.center[0])
+        ix, iy = disk_points_xy(other.center, r_i, phi + t_i)
         dist = np.hypot(ux - ix, uy - iy)
         np.testing.assert_allclose(got, P_UE * h * dist**-other.alpha,
                                    rtol=1e-12)
