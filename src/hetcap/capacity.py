@@ -6,6 +6,10 @@ logs reproduce the bits-per-block definition. The lower bound freezes the
 interference at its mean and only averages over the desired signal power,
 which makes its cost independent of the network size.
 
+Both estimators stratify the tagged UE's u = r^2/R^2: trial g draws it from
+bin g mod K of K equal-probability bins, and the reductions average the bin
+means, with the stratified delta-method standard error.
+
 Trials are split into fixed-size chunks, each with an RNG substream keyed by
 (seed, chunk index), and partial results are reduced in chunk order, so
 estimates are bit-identical for any worker count.
@@ -21,8 +25,7 @@ import numpy as np
 
 from .channel import (DuplexConfig, DuplexMode, QoSConfig, _duplex_terms,
                       _path_loss_gain_sq, path_loss_gain)
-from .geometry import (NetworkTopology, SmallCell, disk_points_xy,
-                       sample_uniform_disk_batch)
+from .geometry import NetworkTopology, SmallCell, disk_points_xy
 from .interference import total_mean_interference
 
 #: Trials per RNG substream; fixed so results never depend on worker count.
@@ -30,6 +33,10 @@ CHUNK_TRIALS = 8192
 
 #: Trials per cache-sized row block of a chunk; the output does not depend on it.
 _BLOCK_ROWS = 256
+
+#: Equal-probability bins of the tagged UE's u = r^2/R^2. Trial g lies in bin
+#: g mod _STRATA; a chunk holds a multiple of it, so workers cannot move it.
+_STRATA = 32
 
 #: spawn_key namespaces keeping the lower bound's signal stream disjoint
 #: from the exact-MC trial streams.
@@ -121,6 +128,23 @@ def _kernel_spec(topology: NetworkTopology, ue_tx_power: float,
         ue_tx_power, seed)
 
 
+def _strata(trials: int) -> int:
+    """Strata of a ``trials``-trial run: 1 unless each gets two trials."""
+    return _STRATA if trials >= 2 * _STRATA else 1
+
+
+def _tagged_radius(radius: float, n: int, rng: np.random.Generator,
+                   strata: int) -> np.ndarray:
+    """R sqrt(u), trial i's u uniform on [k, k+1) / strata, k = i % strata."""
+    u = rng.random(n)
+    if strata > 1:
+        full = n - n % strata
+        u[:full].reshape(-1, strata)[:] += np.arange(strata)
+        u[full:] += np.arange(n - full)
+        u /= strata
+    return np.multiply(np.sqrt(u, out=u), radius, out=u)
+
+
 def _squared_distance(x: np.ndarray, y: np.ndarray, px, py) -> np.ndarray:
     """(trials, links) squared distances from per-trial points (x, y) to (px, py)."""
     dx = x[:, None] - px
@@ -143,19 +167,22 @@ def _faded_sum(rng: np.random.Generator, d2: np.ndarray, alpha,
 def _simulate_chunk(spec: _KernelSpec, chunk: int, n: int) -> tuple[np.ndarray, ...]:
     """Simulate one chunk of ``n`` trials: signal, BS and UE interference.
 
-    Draw order is fixed: tagged-UE radii and angles, signal fading, BS
-    fading, uplink-UE radii and angles, UE fading. An uplink UE's angle t
-    runs from the ray from its cell centre toward the tagged UE, on [0, pi):
-    the distance depends on t only through cos t, whose law is the same as
-    for a global angle. With rho = |tagged UE - centre|, the squared distance
-    (rho - r)^2 + 4 rho r sin^2(t/2) is never negative and costs one sine.
-    Fading and per-link work run in cache-sized row blocks of
+    Draw order is fixed: tagged-UE radii (stratified) and angles, signal
+    fading, BS fading, uplink-UE radii and angles, UE fading. An uplink UE's
+    angle t runs from the ray from its cell centre toward the tagged UE, on
+    [0, pi): the distance depends on t only through cos t, whose law is the
+    same as for a global angle. With rho = |tagged UE - centre|, the squared
+    distance (rho - r)^2 + 4 rho r sin^2(t/2) is never negative and costs one
+    sine. Fading and per-link work run in cache-sized row blocks of
     ``_BLOCK_ROWS`` trials; rows are summed whole, so the output does not
     depend on the block length.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=spec.seed, spawn_key=(_STREAM_TRIALS, chunk)))
-    r_t, th_t = sample_uniform_disk_batch(spec.tagged_radius, n, rng)
+    # the run's trial count if this chunk is its last, and larger otherwise
+    r_t = _tagged_radius(spec.tagged_radius, n, rng,
+                         _strata(chunk * CHUNK_TRIALS + n))
+    th_t = 2.0 * np.pi * rng.random(n)
     signal = spec.tagged_power * rng.exponential(size=n) \
         * path_loss_gain(r_t, spec.tagged_alpha)
     ue_x, ue_y = disk_points_xy(spec.tagged_center, r_t, th_t)
@@ -214,14 +241,40 @@ def simulate_components(topology: NetworkTopology, ue_tx_power: float,
     return TrialComponents(signal, i_bs, i_ue)
 
 
+@functools.lru_cache(maxsize=16)
+def _strata_layout(n: int, strata: int) -> tuple[np.ndarray, ...]:
+    """Trials per stratum n_k, weights 1/(n_k (n_k - 1)), n // strata ones."""
+    counts = n // strata + (np.arange(strata) < n % strata)
+    layout = counts, 1.0 / (counts * (counts - 1.0)), np.ones(n // strata)
+    for shared in layout:       # every caller with this n gets these arrays
+        shared.flags.writeable = False
+    return layout
+
+
+def _mean_and_se(y: np.ndarray) -> tuple[float, float]:
+    """Mean of the K stratum means of ``y``; its SE, sqrt(sum s_k^2/n_k)/K."""
+    n = len(y)
+    strata = _strata(n)
+    if strata == 1:     # one trial has no spread to estimate
+        se = float(y.std(ddof=1)) / math.sqrt(n) if n > 1 else math.inf
+        return float(y.mean()), se
+    counts, weights, ones = _strata_layout(n, strata)
+    rows = y[:len(ones) * strata].reshape(-1, strata)
+    tail = y[rows.size:]        # one more trial in strata 0 .. len(tail) - 1
+    means = ones @ rows
+    means[:len(tail)] += tail
+    means /= counts
+    dev = rows - means
+    dev *= dev
+    ss = ones @ dev
+    ss[:len(tail)] += (tail - means[:len(tail)]) ** 2
+    return float(means.sum()) / strata, math.sqrt(float(ss @ weights)) / strata
+
+
 def _reduce_ec(z: np.ndarray, theta: float) -> tuple[float, float]:
     """EC and its delta-method standard error from per-trial g values."""
-    z_mean = float(z.mean())
-    ec = -math.log(z_mean) / theta
-    if len(z) < 2:      # one trial has no spread to estimate
-        return max(ec, 0.0), math.inf
-    se = float(z.std(ddof=1)) / math.sqrt(len(z)) / (theta * z_mean)
-    return max(ec, 0.0), se
+    z_mean, z_se = _mean_and_se(z)
+    return max(-math.log(z_mean) / theta, 0.0), z_se / (theta * z_mean)
 
 
 def _denominator(components: TrialComponents, duplex: DuplexConfig,
@@ -247,7 +300,7 @@ def mean_rate_from_components(components: TrialComponents, duplex: DuplexConfig,
     """Average bits per block over the same draws; the theta -> 0 reference."""
     denom, share = _denominator(components, duplex, noise)
     rates = share * qos.bits_per_use * np.log2(1.0 + components.signal / denom)
-    return float(rates.mean())
+    return _mean_and_se(rates)[0]
 
 
 def ec_exact_mc(topology: NetworkTopology, duplex: DuplexConfig, qos: QoSConfig,
@@ -263,7 +316,7 @@ def _lb_signal_draws(tagged: SmallCell, n: int, seed: int) -> np.ndarray:
     """Desired-signal powers the bound averages over; independent of eta."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_STREAM_LB_SIGNAL,)))
-    r = tagged.radius * np.sqrt(rng.random(n))
+    r = _tagged_radius(tagged.radius, n, rng, _strata(n))
     return tagged.power * rng.exponential(size=n) * path_loss_gain(r, tagged.alpha)
 
 

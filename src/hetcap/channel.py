@@ -89,7 +89,9 @@ class QoSConfig:
 
 def path_loss_gain(distance, alpha: float):
     """Linear path-loss gain max(distance, D_MIN)^-alpha. Array-friendly."""
-    return np.maximum(distance, D_MIN) ** (-alpha)
+    gain = np.maximum(distance, D_MIN)
+    gain **= -alpha     # in place: no second array
+    return gain
 
 
 def _path_loss_gain_sq(dist_sq, alpha):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (ECEstimate, _lb_over_duplexes, ec_exact_mc,
+from .capacity import (ECEstimate, _lb_over_duplexes, _strata, ec_exact_mc,
                        ec_from_components, ec_lower_bound, simulate_components)
 from .channel import DuplexConfig, DuplexMode, QoSConfig
 from .geometry import NetworkTopology
@@ -108,6 +108,7 @@ def sweep_eta(topology: NetworkTopology, qos: QoSConfig, noise: float,
         "trials": trials,
         "theta": qos.theta,
         "kappa": kappa,
+        "tagged_radius_strata": _strata(trials),
     }
     return SweepResult(tuple(float(e) for e in etas), tuple(rows), fingerprint)
 

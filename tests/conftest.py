@@ -72,7 +72,9 @@ def fixed_draws(monkeypatch):
     A uniform draw of 0.25 gives radius R*sqrt(0.25) = R/2 in every cell.
     The tagged UE sits at angle 2*pi*0.25 = pi/2, at (cx, cy + R/2); an
     uplink UE at angle pi*0.25 = pi/4 from the ray from its cell centre
-    toward the tagged UE. Each link then has one Cartesian length.
+    toward the tagged UE. Each link then has one Cartesian length. From 64
+    trials on, the tagged radius is stratified: trial i's tagged UE sits at
+    radius R*sqrt((i % 32 + 0.25) / 32) instead.
     """
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *args, **kwargs: _FixedDraws())

@@ -102,14 +102,18 @@ class TestExactMonteCarlo:
     def test_degenerate_draw_matches_closed_form(self, single_cell_topology,
                                                  fd_duplex, qos_default,
                                                  fixed_draws):
+        # the uniform 0.25 puts stratum k's tagged UE at u = (k + 0.25) / 32:
+        # the estimate averages the closed form over the 32 strata
         estimate = ec_exact_mc(single_cell_topology, fd_duplex, qos_default,
                                NOISE, 500, 1)
         cell = single_cell_topology.tagged_cell
-        s = cell.power * (cell.radius / 2) ** -3.0
-        d_macro = math.hypot(cell.center[0], cell.center[1] + cell.radius / 2)
+        r = cell.radius * np.sqrt((np.arange(32) + 0.25) / 32)
+        s = cell.power * r ** -3.0
+        d_macro = np.hypot(cell.center[0], cell.center[1] + r)
         i = single_cell_topology.macro_bs.power * d_macro ** -3.0
         sinr_det = s / (i + fd_duplex.eta * P_UE + NOISE)
-        expected = 90.0 * math.log2(1.0 + sinr_det)
+        z = (1.0 + sinr_det) ** -qos_default.beta
+        expected = -math.log(z.mean()) / qos_default.theta
         assert estimate.ec == pytest.approx(expected, rel=1e-12)
         assert estimate.std_error < 1e-9  # summation noise on identical draws
 
@@ -197,10 +201,13 @@ class TestLowerBound:
         assert lb.ec <= exact.ec + margin
 
     def test_equality_for_degenerate_draws(self, single_cell_topology,
-                                           fd_duplex, qos_default, fixed_draws):
-        # constant interference and signal: Jensen is tight
+                                           fd_duplex, qos_default, fixed_draws,
+                                           monkeypatch):
+        # constant interference and signal (one tagged-radius stratum): Jensen
+        # is tight
         from hetcap.capacity import _lb_reduce, _lb_signal_draws
 
+        monkeypatch.setattr(capacity, "_STRATA", 1)
         components = simulate_components(single_cell_topology, P_UE, 200, 1)
         exact = ec_from_components(components, fd_duplex, qos_default, NOISE)
         i_mean = float((components.bs_interference
@@ -369,13 +376,16 @@ class TestBlockedKernel:
     def test_signal_and_bs_interference_match_global_frame_replay(
             self, sparse_topology):
         # replay the stream's first three draws whole, with every position in
-        # the global frame: the uplink-UE frame leaves these links' bits alone
+        # the global frame: the uplink-UE frame leaves these links' bits alone;
+        # trial i's tagged u lies in stratum i mod 32
         spec = capacity._kernel_spec(sparse_topology, P_UE, 5)
         n = 1808
         signal, i_bs, _ = capacity._simulate_chunk(spec, 2, n)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=5, spawn_key=(0, 2)))
-        r_t, th_t = sample_uniform_disk_batch(spec.tagged_radius, n, rng)
+        u = (np.arange(n) % 32 + rng.random(n)) / 32
+        r_t = spec.tagged_radius * np.sqrt(u)
+        th_t = 2.0 * np.pi * rng.random(n)
         want_signal = spec.tagged_power * rng.exponential(size=n) \
             * path_loss_gain(r_t, spec.tagged_alpha)
         x, y = disk_points_xy(spec.tagged_center, r_t, th_t)
@@ -446,3 +456,86 @@ class TestOneTrial:
     def test_estimate_rejects_nan(self, ec, se):
         with pytest.raises(ValueError, match="NaN"):
             ECEstimate(ec, se, 10, 1e-3, DuplexMode.FD, "exact_mc")
+
+
+class TestTaggedRadiusStrata:
+    """Stratified tagged-UE radius: layout, small runs, honest errors."""
+
+    def test_each_trial_draws_from_its_stratum(self, sparse_topology,
+                                               monkeypatch):
+        # record the tagged radii that reach the signal's path loss, over a
+        # full chunk and a partial one, and in the bound's signal draws
+        radii = []
+
+        def recorded(r, alpha):
+            radii.append(np.array(r))
+            return path_loss_gain(r, alpha)
+
+        monkeypatch.setattr(capacity, "path_loss_gain", recorded)
+        tagged = sparse_topology.tagged_cell
+        n = capacity.CHUNK_TRIALS + 1808
+        simulate_components(sparse_topology, P_UE, n, 3)
+        capacity._lb_signal_draws(tagged, 1808, 3)
+        assert [len(r) for r in radii] == [capacity.CHUNK_TRIALS, 1808, 1808]
+        for r in (np.concatenate(radii[:2]), radii[2]):
+            u = (r / tagged.radius) ** 2
+            np.testing.assert_array_equal(np.floor(32 * u),
+                                          np.arange(len(u)) % 32)
+
+    @pytest.mark.parametrize("n,strata", [(2, 32), (63, 32), (10**4, 1)])
+    def test_one_stratum_reduces_as_plain_mean_and_std(self, rng, monkeypatch,
+                                                        n, strata):
+        # under 64 trials every run has one stratum
+        monkeypatch.setattr(capacity, "_STRATA", strata)
+        z = rng.uniform(0.2, 0.9, n)
+        ec, se = capacity._reduce_ec(z, 1e-3)
+        z_mean = float(z.mean())
+        assert ec == max(-math.log(z_mean) / 1e-3, 0.0)
+        assert se == float(z.std(ddof=1)) / math.sqrt(n) / (1e-3 * z_mean)
+
+    @pytest.mark.parametrize("mode,exact,exact_se,bound,bound_se", [
+        (DuplexMode.FD, 404.25456969273085, 22.009649552962717,
+         425.68242857969574, 29.54075627464885),
+        (DuplexMode.HD, 209.0502835979566, 11.275982980130637,
+         222.38133325678197, 15.584793400351)])
+    def test_small_runs_keep_unstratified_values(self, sparse_topology,
+                                                 qos_default, mode, exact,
+                                                 exact_se, bound, bound_se):
+        # values of the unstratified estimators at 63 trials; the tolerance
+        # only allows for libm differences between platforms
+        duplex = DuplexConfig(mode, 1e-8 if mode is DuplexMode.FD else 0.0,
+                              1.0, P_UE)
+        got = [estimator(sparse_topology, duplex, qos_default, NOISE, 63, 41)
+               for estimator in (ec_exact_mc, ec_lower_bound)]
+        want = ((exact, exact_se), (bound, bound_se))
+        for estimate, (ec, se) in zip(got, want):
+            assert estimate.ec == pytest.approx(ec, rel=1e-12)
+            assert estimate.std_error == pytest.approx(se, rel=1e-12)
+
+    def test_standard_errors_are_honest(self):
+        # 200 runs of 10^4 trials on the README topology: 95% intervals around
+        # a 1.5M-trial reference cover within binomial tolerance, and the
+        # standardized errors have unit spread
+        from hetcap.config import ScenarioConfig
+
+        cfg = ScenarioConfig()
+        topology = cfg.sample_topology()
+        setups = [(duplex, QoSConfig(theta, 0.5e-3, 180e3))
+                  for duplex in (cfg.duplex("fd"), cfg.duplex("hd"))
+                  for theta in (1e-3, 7e-3)]
+
+        def estimates(trials, seed):
+            components = simulate_components(topology, P_UE, trials, seed)
+            return [ec_from_components(components, duplex, qos, NOISE)
+                    for duplex, qos in setups]
+
+        reference = [e.ec for e in estimates(1_500_000, 10**6)]
+        runs = np.array([[(e.ec - ref) / e.std_error
+                          for e, ref in zip(estimates(10**4, seed), reference)]
+                         for seed in range(200)])
+        coverage = (np.abs(runs) <= 1.96).mean(axis=0)
+        tolerance = 3 * math.sqrt(0.95 * 0.05 / len(runs))
+        assert np.all(np.abs(coverage - 0.95) <= tolerance), coverage
+        spread = runs.std(axis=0, ddof=1)
+        assert np.all(np.abs(spread - 1.0) <= 3 / math.sqrt(2 * len(runs))), \
+            spread

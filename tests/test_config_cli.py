@@ -240,10 +240,10 @@ class TestCli:
         # the output of one simulation per mode, which drew the same trials
         assert capsys.readouterr().out == (
             "theta = 1.000e-03 1/bit, guarantee bound 7.702e-03 -> ok\n"
-            "hd: EC(theta=1e-6) = 220.772, mean rate = 220.779 bits/block, "
-            "rel diff 3.32e-05\n"
-            "fd: EC(theta=1e-6) = 435.628, mean rate = 435.657 bits/block, "
-            "rel diff 6.65e-05\n")
+            "hd: EC(theta=1e-6) = 222.539, mean rate = 222.546 bits/block, "
+            "rel diff 3.46e-05\n"
+            "fd: EC(theta=1e-6) = 439.173, mean rate = 439.203 bits/block, "
+            "rel diff 6.93e-05\n")
 
     @pytest.mark.filterwarnings("ignore::hetcap.QoSBoundWarning")
     @pytest.mark.parametrize("mode,status", [

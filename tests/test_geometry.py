@@ -128,18 +128,19 @@ class TestInterfererDistance:
         np.testing.assert_allclose(i_ue, P_UE * 410.0**-3, rtol=1e-12)
 
     def test_matches_cartesian_oracle(self):
-        # replay the kernel's stream (draw order: tagged radius and angle,
-        # signal fading, BS fading, interferer radii and angles, UE fading),
-        # place the interferer at angle pi * v from the ray from its centre
-        # toward the tagged UE, and measure every link with hypot on the
-        # Cartesian positions
+        # replay the kernel's stream (draw order: tagged radius, its u in
+        # stratum i mod 32 for trial i, and angle, signal fading, BS fading,
+        # interferer radii and angles, UE fading), place the interferer at
+        # angle pi * v from the ray from its centre toward the tagged UE, and
+        # measure every link with hypot on the Cartesian positions
         tagged = SmallCell((300.0, 0.0), 90.0, 1.0, 3.0)
         other = SmallCell((-100.0, 200.0), 60.0, 1.0, 3.5)
         n = 1000
         got = _ue_interference(tagged, other, n, 9)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=9, spawn_key=(0, 0)))
-        r_t, th_t = sample_uniform_disk_batch(tagged.radius, n, rng)
+        r_t = tagged.radius * np.sqrt((np.arange(n) % 32 + rng.random(n)) / 32)
+        th_t = 2.0 * np.pi * rng.random(n)
         rng.exponential(size=n)
         rng.exponential(size=(n, 2))
         r_i = other.radius * np.sqrt(rng.random(n))
