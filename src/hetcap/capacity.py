@@ -16,6 +16,7 @@ estimates are bit-identical for any worker count.
 """
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -164,11 +165,24 @@ def _faded_sum(rng: np.random.Generator, d2: np.ndarray, alpha,
     return h.sum(axis=1)
 
 
+def _ahead(rng: np.random.Generator, skip: int) -> np.random.Generator:
+    """A copy of ``rng`` that reads its stream from ``skip`` doubles ahead.
+
+    PCG64 spends one 64-bit step per uniform double, so the copy's next
+    ``random`` values are those ``rng`` would give after ``skip`` of them.
+    """
+    return np.random.default_rng(copy.deepcopy(rng.bit_generator).advance(skip))
+
+
 def _simulate_chunk(spec: _KernelSpec, chunk: int, n: int) -> tuple[np.ndarray, ...]:
     """Simulate one chunk of ``n`` trials: signal, BS and UE interference.
 
     Draw order is fixed: tagged-UE radii (stratified) and angles, signal
-    fading, BS fading, uplink-UE radii and angles, UE fading. An uplink UE's
+    fading, BS fading, uplink-UE radii u (n, M-1), then angles v (n, M-1),
+    UE fading. u and v are read per row block from two copies of the
+    generator, one at u's start and one jumped ahead to v's, while the
+    generator jumps past both to the UE fading: the stream layout and every
+    value are those of whole draws, without holding them. An uplink UE's
     angle t runs from the ray from its cell centre toward the tagged UE, on
     [0, pi): the distance depends on t only through cos t, whose law is the
     same as for a global angle. With rho = |tagged UE - centre|, the squared
@@ -193,15 +207,18 @@ def _simulate_chunk(spec: _KernelSpec, chunk: int, n: int) -> tuple[np.ndarray, 
                                spec.bs_xy[:, 1])
         i_bs[blk] = _faded_sum(rng, d2, spec.bs_alpha, spec.bs_power)
 
-    u = rng.random((n, len(spec.other_xy)))     # r = R sqrt(u)
-    v = rng.random(u.shape)                     # t = pi v
+    links = n * len(spec.other_xy)
+    u_rng, v_rng = _ahead(rng, 0), _ahead(rng, links)
+    rng.bit_generator.advance(2 * links)        # past u and v to the UE fading
     i_ue = np.empty(n)
     for blk in blocks:
         rho = np.sqrt(_squared_distance(ue_x[blk], ue_y[blk],
                                         spec.other_xy[:, 0], spec.other_xy[:, 1]))
-        r = np.sqrt(u[blk], out=u[blk])
+        u = u_rng.random(rho.shape)             # r = R sqrt(u)
+        v = v_rng.random(rho.shape)             # t = pi v
+        r = np.sqrt(u, out=u)
         r *= spec.other_radius
-        c = np.sin(np.multiply(v[blk], 0.5 * np.pi, out=v[blk]), out=v[blk])
+        c = np.sin(np.multiply(v, 0.5 * np.pi, out=v), out=v)
         c *= c
         c *= rho
         c *= r
@@ -283,14 +300,24 @@ def _denominator(components: TrialComponents, duplex: DuplexConfig,
     if noise <= 0:
         raise ValueError("noise must be > 0")
     ue_counts, rsi, share = _duplex_terms(duplex)
-    return _interference(components, ue_counts) + rsi + noise, share
+    denom = _interference(components, ue_counts) + rsi    # a new array
+    denom += noise
+    return denom, share
+
+
+def _one_plus_ratio(s: np.ndarray, denom, out=None) -> np.ndarray:
+    """1 + s/denom per trial, written into ``out`` (a new array if None)."""
+    ratio = np.divide(s, denom, out=out)
+    ratio += 1.0
+    return ratio
 
 
 def ec_from_components(components: TrialComponents, duplex: DuplexConfig,
                        qos: QoSConfig, noise: float) -> ECEstimate:
     """Exact-MC reduction of precomputed trial components for one duplex setup."""
     denom, share = _denominator(components, duplex, noise)
-    z = (1.0 + components.signal / denom) ** (-share * qos.beta)
+    z = _one_plus_ratio(components.signal, denom, out=denom)
+    z **= -share * qos.beta
     ec, se = _reduce_ec(z, qos.theta)
     return ECEstimate(ec, se, components.trials, qos.theta, duplex.mode, "exact_mc")
 
@@ -299,7 +326,9 @@ def mean_rate_from_components(components: TrialComponents, duplex: DuplexConfig,
                               qos: QoSConfig, noise: float) -> float:
     """Average bits per block over the same draws; the theta -> 0 reference."""
     denom, share = _denominator(components, duplex, noise)
-    rates = share * qos.bits_per_use * np.log2(1.0 + components.signal / denom)
+    rates = np.log2(_one_plus_ratio(components.signal, denom, out=denom),
+                    out=denom)
+    rates *= share * qos.bits_per_use
     return _mean_and_se(rates)[0]
 
 
@@ -333,7 +362,8 @@ def _lb_reduce(s: np.ndarray, i_mean: float, duplex: DuplexConfig,
     exponent = share * qos.beta
     notes = ((f"beta={qos.beta:.4g} > 1: bound not guaranteed",)
              if exponent > 1.0 else ())
-    z = (1.0 + s / (i_mean + (rsi + noise))) ** (-exponent)
+    z = _one_plus_ratio(s, i_mean + (rsi + noise))
+    z **= -exponent
     ec, se = _reduce_ec(z, qos.theta)
     return ECEstimate(ec, se, len(s), qos.theta, duplex.mode,
                       "lower_bound_analytic", notes)

@@ -55,8 +55,21 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20260809)
 
 
+class _FixedStream:
+    """Bit-generator stand-in: a jump ahead leaves every draw as it was."""
+
+    def advance(self, delta):
+        return self
+
+
 class _FixedDraws:
-    """Generator stand-in: every uniform draw is 0.25, every fading draw 1."""
+    """Generator stand-in: every uniform draw is 0.25, every fading draw 1.
+
+    Its ``bit_generator`` copies and jumps ahead like PCG64; the patched
+    ``default_rng`` turns a jumped copy into another stand-in.
+    """
+
+    bit_generator = _FixedStream()
 
     def random(self, size):
         return np.full(size, 0.25)
@@ -72,9 +85,10 @@ def fixed_draws(monkeypatch):
     A uniform draw of 0.25 gives radius R*sqrt(0.25) = R/2 in every cell.
     The tagged UE sits at angle 2*pi*0.25 = pi/2, at (cx, cy + R/2); an
     uplink UE at angle pi*0.25 = pi/4 from the ray from its cell centre
-    toward the tagged UE. Each link then has one Cartesian length. From 64
-    trials on, the tagged radius is stratified: trial i's tagged UE sits at
-    radius R*sqrt((i % 32 + 0.25) / 32) instead.
+    toward the tagged UE, also when read from a jumped copy of the stream.
+    Each link then has one Cartesian length. From 64 trials on, the tagged
+    radius is stratified: trial i's tagged UE sits at radius
+    R*sqrt((i % 32 + 0.25) / 32) instead.
     """
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *args, **kwargs: _FixedDraws())

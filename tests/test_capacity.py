@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -370,17 +371,26 @@ class TestSquaredDistanceKernel:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+@pytest.fixture(scope="module")
+def dense_topology() -> NetworkTopology:
+    """The criterion-9 dense deployment: M = 157 cells of radius 25 m."""
+    return sample_matern_hcpp(Region(1000.0), 157 / math.pi * 1e-6, 50.0, 25.0,
+                              50, cell_power=P_PICO, alpha=3.0,
+                              macro_power=P_MACRO)
+
+
 class TestBlockedKernel:
-    """Row blocks and ray-frame uplink angles against global-frame replays."""
+    """Row blocks and ray-frame uplink angles against whole-stream replays."""
 
     def test_signal_and_bs_interference_match_global_frame_replay(
             self, sparse_topology):
-        # replay the stream's first three draws whole, with every position in
-        # the global frame: the uplink-UE frame leaves these links' bits alone;
-        # trial i's tagged u lies in stratum i mod 32
+        # replay the whole stream with every draw made whole, in stream order:
+        # tagged u (trial i in stratum i mod 32), tagged angle, signal fading,
+        # BS fading, uplink u (n, M-1), uplink v (n, M-1), UE fading; BS links
+        # in the global frame, UE links in the ray frame in the kernel's order
         spec = capacity._kernel_spec(sparse_topology, P_UE, 5)
         n = 1808
-        signal, i_bs, _ = capacity._simulate_chunk(spec, 2, n)
+        signal, i_bs, i_ue = capacity._simulate_chunk(spec, 2, n)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=5, spawn_key=(0, 2)))
         u = (np.arange(n) % 32 + rng.random(n)) / 32
@@ -395,6 +405,15 @@ class TestBlockedKernel:
         h *= np.maximum(d2, 1.0) ** (-0.5 * spec.bs_alpha)
         np.testing.assert_array_equal(signal, want_signal)
         np.testing.assert_array_equal(i_bs, h.sum(axis=1))
+        shape = (n, len(spec.other_xy))
+        u, v = rng.random(shape), rng.random(shape)
+        rho = np.sqrt((x[:, None] - spec.other_xy[:, 0]) ** 2
+                      + (y[:, None] - spec.other_xy[:, 1]) ** 2)
+        r = np.sqrt(u) * spec.other_radius
+        d2 = (rho - r) ** 2 + np.sin(v * (0.5 * np.pi)) ** 2 * rho * r * 4.0
+        h = rng.exponential(size=shape) * spec.ue_tx_power
+        h *= np.maximum(d2, 1.0) ** (-0.5 * spec.other_alpha)
+        np.testing.assert_array_equal(i_ue, h.sum(axis=1))
 
     @pytest.mark.parametrize("n", [1, 1808, 8192])
     @pytest.mark.parametrize("rows", [1, 7, 8192])
@@ -405,6 +424,32 @@ class TestBlockedKernel:
         monkeypatch.setattr(capacity, "_BLOCK_ROWS", rows)
         for got, expected in zip(capacity._simulate_chunk(spec, 1, n), want):
             np.testing.assert_array_equal(got, expected)
+
+    #: sha256 of the signal, BS and UE interference bytes per (M, trials), as
+    #: the kernel gave them when it drew the uplink uniforms whole
+    DIGESTS = {
+        (17, 1): "5e64b769a7da41cf22a342be8900350a82435fdf713e4192d6b2316bfb7e93ec",
+        (17, 1808): "a9b54acda59fe1cc7716e5684495d0bf6ec0a1069779d7b10dc64366add4e2d7",
+        (17, 8192): "3982ed9b0f14a0074e144c0af9552c16ae6aca8775226946e042f34691f10b0f",
+        (17, 8193): "6af6983f72c4af3ad67e3f3f4dfbde0e79e0544e15d90b5ab80023f85133632d",
+        (157, 1): "33f4a0e78d13cb4fd3a712d7c0c701d46e6dc561ba5596ac7542c5644cc200c2",
+        (157, 1808): "410f92bf31eab3e6ec460d5b46c241e23d41ebf3f2175c1ff544c5496b732b7b",
+        (157, 8192): "a827c5ca37d5fcd71d3de37eee5793be5b0523c99f0382bfe0723ce836287d8a",
+        (157, 8193): "74264ff772072d3fc5ebebad123c5994a8b14b15e845c9d9e2dfbd07e7ef1240",
+    }
+
+    @pytest.mark.parametrize("m,n", list(DIGESTS))
+    def test_components_keep_pinned_bits(self, sparse_topology, dense_topology,
+                                         m, n):
+        # n = 8193 spans two chunks
+        topology = sparse_topology if m == 17 else dense_topology
+        assert len(topology.small_cells) == m
+        components = simulate_components(topology, P_UE, n, 5)
+        sha = hashlib.sha256()
+        for values in (components.signal, components.bs_interference,
+                       components.ue_interference):
+            sha.update(values.tobytes())
+        assert sha.hexdigest() == self.DIGESTS[m, n]
 
     def test_ue_interference_matches_global_frame_law(self):
         # an independent sample with global-frame angles; the two 1 m disks
@@ -425,15 +470,12 @@ class TestBlockedKernel:
         want = P_UE * rng.exponential(size=n) * np.maximum(dist, 1.0) ** -3.0
         assert stats.ks_2samp(got, want).pvalue > 0.01
 
-    def test_chunk_peak_memory(self):
-        # a full chunk at M=157 keeps its uplink radius and angle draws and
-        # cache-sized blocks, not a dozen (trials, cells) arrays
-        topology = sample_matern_hcpp(Region(1000.0), 157 / math.pi * 1e-6,
-                                      50.0, 25.0, 50, cell_power=P_PICO,
-                                      alpha=3.0, macro_power=P_MACRO)
-        m = len(topology.small_cells)
+    def test_chunk_peak_memory(self, dense_topology):
+        # a full chunk at M=157 holds per-trial vectors and cache-sized row
+        # blocks only: no (trials, cells) array, the uplink uniforms included
+        m = len(dense_topology.small_cells)
         assert m == 157
-        spec = capacity._kernel_spec(topology, P_UE, 1)
+        spec = capacity._kernel_spec(dense_topology, P_UE, 1)
         n = capacity.CHUNK_TRIALS
         tracemalloc.start()
         try:
@@ -441,7 +483,7 @@ class TestBlockedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * n * m * 8
+        assert peak <= n * m * 8 // 2
 
 
 class TestOneTrial:
