@@ -11,12 +11,12 @@ bin g mod K of K equal-probability bins, and the reductions average the bin
 means, with the stratified delta-method standard error.
 
 Trials are split into fixed-size chunks, each with an RNG substream keyed by
-(seed, chunk index), and partial results are reduced in chunk order, so
+(seed, chunk index) and, for the uplink UEs' draws, three more keyed by
+(seed, chunk index, segment); partial results are reduced in chunk order, so
 estimates are bit-identical for any worker count.
 """
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -104,8 +104,7 @@ class _KernelSpec:
     bs_xy: np.ndarray        # (n_bs, 2): macro first, then non-tagged cells
     bs_power: np.ndarray
     bs_alpha: np.ndarray
-    other_xy: np.ndarray     # (n_other, 2): non-tagged cell centers
-    other_radius: np.ndarray
+    other_radius: np.ndarray  # non-tagged cells, in bs_xy[1:] order
     other_alpha: np.ndarray
     ue_tx_power: float
     seed: int
@@ -120,11 +119,10 @@ def _kernel_spec(topology: NetworkTopology, ue_tx_power: float,
                      dtype=float).reshape(-1, 2)
     bs_power = np.array([topology.macro_bs.power] + [c.power for c in others])
     bs_alpha = np.array([topology.macro_bs.alpha] + [c.alpha for c in others])
-    other_xy = np.array([c.center for c in others], dtype=float).reshape(-1, 2)
     return _KernelSpec(
         tagged.center, tagged.radius, tagged.power, tagged.alpha,
         bs_xy, bs_power, bs_alpha,
-        other_xy, np.array([c.radius for c in others]),
+        np.array([c.radius for c in others]),
         np.array([c.alpha for c in others]),
         ue_tx_power, seed)
 
@@ -159,74 +157,60 @@ def _squared_distance(x: np.ndarray, y: np.ndarray, px, py) -> np.ndarray:
 def _faded_sum(rng: np.random.Generator, d2: np.ndarray, alpha,
                power) -> np.ndarray:
     """Per-row sum of power * unit-mean fading * path-loss gain at ``d2``."""
-    h = rng.exponential(size=d2.shape)
+    h = rng.standard_exponential(size=d2.shape)
     h *= power
     h *= _path_loss_gain_sq(d2, alpha)
     return h.sum(axis=1)
 
 
-def _ahead(rng: np.random.Generator, skip: int) -> np.random.Generator:
-    """A copy of ``rng`` that reads its stream from ``skip`` doubles ahead.
-
-    PCG64 spends one 64-bit step per uniform double, so the copy's next
-    ``random`` values are those ``rng`` would give after ``skip`` of them.
-    """
-    return np.random.default_rng(copy.deepcopy(rng.bit_generator).advance(skip))
-
-
 def _simulate_chunk(spec: _KernelSpec, chunk: int, n: int) -> tuple[np.ndarray, ...]:
     """Simulate one chunk of ``n`` trials: signal, BS and UE interference.
 
-    Draw order is fixed: tagged-UE radii (stratified) and angles, signal
-    fading, BS fading, uplink-UE radii u (n, M-1), then angles v (n, M-1),
-    UE fading. u and v are read per row block from two copies of the
-    generator, one at u's start and one jumped ahead to v's, while the
-    generator jumps past both to the UE fading: the stream layout and every
-    value are those of whole draws, without holding them. An uplink UE's
-    angle t runs from the ray from its cell centre toward the tagged UE, on
-    [0, pi): the distance depends on t only through cos t, whose law is the
-    same as for a global angle. With rho = |tagged UE - centre|, the squared
-    distance (rho - r)^2 + 4 rho r sin^2(t/2) is never negative and costs one
-    sine. Fading and per-link work run in cache-sized row blocks of
-    ``_BLOCK_ROWS`` trials; rows are summed whole, so the output does not
-    depend on the block length.
+    The chunk's main stream, keyed (seed, chunk), gives in this order: the
+    tagged-UE radii (stratified) and angles, the signal fading, then the BS
+    fading row block by row block. The uplink UEs' radius uniforms u, angle
+    uniforms v and fading come from three substreams keyed (seed, chunk, k)
+    for k = 1, 2, 3, read block by block. An uplink UE's angle t = pi v runs
+    from the ray from its cell centre toward the tagged UE, on [0, pi): the
+    distance depends on t only through cos t, whose law is the same as for a
+    global angle. With rho = |tagged UE - centre|, the squared distance
+    (rho - r)^2 + 4 rho r sin^2(t/2) is never negative and costs one sine,
+    taken in float32: v is uniform on 2^24 points and sin^2(t/2) lies within
+    3.5e-7 of its float64 value, relative; everything else is float64. Each
+    row block of ``_BLOCK_ROWS`` trials builds its squared distances to all
+    BSs once; rows are summed whole, so the output does not depend on the
+    block length.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=spec.seed, spawn_key=(_STREAM_TRIALS, chunk)))
+    rng, u_rng, v_rng, h_rng = (np.random.default_rng(np.random.SeedSequence(
+        entropy=spec.seed, spawn_key=(_STREAM_TRIALS, chunk) + k))
+        for k in ((), (1,), (2,), (3,)))
     # the run's trial count if this chunk is its last, and larger otherwise
     r_t = _tagged_radius(spec.tagged_radius, n, rng,
                          _strata(chunk * CHUNK_TRIALS + n))
     th_t = 2.0 * np.pi * rng.random(n)
-    signal = spec.tagged_power * rng.exponential(size=n) \
+    signal = spec.tagged_power * rng.standard_exponential(size=n) \
         * path_loss_gain(r_t, spec.tagged_alpha)
     ue_x, ue_y = disk_points_xy(spec.tagged_center, r_t, th_t)
-    blocks = [slice(a, a + _BLOCK_ROWS) for a in range(0, n, _BLOCK_ROWS)]
-    i_bs = np.empty(n)
-    for blk in blocks:
+    i_bs, i_ue = np.empty(n), np.empty(n)
+    for a in range(0, n, _BLOCK_ROWS):
+        blk = slice(a, a + _BLOCK_ROWS)
         d2 = _squared_distance(ue_x[blk], ue_y[blk], spec.bs_xy[:, 0],
                                spec.bs_xy[:, 1])
+        rho = np.sqrt(d2[:, 1:])                # macro first, then the cells
         i_bs[blk] = _faded_sum(rng, d2, spec.bs_alpha, spec.bs_power)
-
-    links = n * len(spec.other_xy)
-    u_rng, v_rng = _ahead(rng, 0), _ahead(rng, links)
-    rng.bit_generator.advance(2 * links)        # past u and v to the UE fading
-    i_ue = np.empty(n)
-    for blk in blocks:
-        rho = np.sqrt(_squared_distance(ue_x[blk], ue_y[blk],
-                                        spec.other_xy[:, 0], spec.other_xy[:, 1]))
-        u = u_rng.random(rho.shape)             # r = R sqrt(u)
-        v = v_rng.random(rho.shape)             # t = pi v
-        r = np.sqrt(u, out=u)
+        r = np.sqrt(u_rng.random(rho.shape))    # r = R sqrt(u)
         r *= spec.other_radius
-        c = np.sin(np.multiply(v, 0.5 * np.pi, out=v), out=v)
-        c *= c
-        c *= rho
+        s = v_rng.random(rho.shape, dtype=np.float32)
+        s *= np.float32(0.5 * np.pi)
+        np.sin(s, out=s)
+        s *= s                                  # sin^2(t/2), t = pi v
+        c = rho * s
         c *= r
         c *= 4.0                                # 4 rho r sin^2(t/2)
         d2 = rho - r
         d2 *= d2
         d2 += c
-        i_ue[blk] = _faded_sum(rng, d2, spec.other_alpha, spec.ue_tx_power)
+        i_ue[blk] = _faded_sum(h_rng, d2, spec.other_alpha, spec.ue_tx_power)
     return signal, i_bs, i_ue
 
 
@@ -346,7 +330,8 @@ def _lb_signal_draws(tagged: SmallCell, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_STREAM_LB_SIGNAL,)))
     r = _tagged_radius(tagged.radius, n, rng, _strata(n))
-    return tagged.power * rng.exponential(size=n) * path_loss_gain(r, tagged.alpha)
+    return tagged.power * rng.standard_exponential(size=n) \
+        * path_loss_gain(r, tagged.alpha)
 
 
 def _lb_reduce(s: np.ndarray, i_mean: float, duplex: DuplexConfig,

@@ -55,26 +55,25 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20260809)
 
 
-class _FixedStream:
-    """Bit-generator stand-in: a jump ahead leaves every draw as it was."""
+def ray_angle(v) -> np.ndarray:
+    """The uplink angle t, from its ray, that the kernel resolves from ``v``.
 
-    def advance(self, delta):
-        return self
+    The kernel takes sin^2(t/2) for t = pi v in float32; this is the angle in
+    [0, pi] whose float64 sin^2(t/2) is that float32 value, so a Cartesian
+    oracle placed at it measures the kernel's distances to float64 rounding.
+    """
+    s = np.sin(np.asarray(v, dtype=np.float32) * np.float32(0.5 * np.pi))
+    s *= s
+    return 2.0 * np.arcsin(np.sqrt(s.astype(float)))
 
 
 class _FixedDraws:
-    """Generator stand-in: every uniform draw is 0.25, every fading draw 1.
+    """Generator stand-in: every uniform draw is 0.25, every fading draw 1."""
 
-    Its ``bit_generator`` copies and jumps ahead like PCG64; the patched
-    ``default_rng`` turns a jumped copy into another stand-in.
-    """
+    def random(self, size, dtype=np.float64):
+        return np.full(size, 0.25, dtype=dtype)
 
-    bit_generator = _FixedStream()
-
-    def random(self, size):
-        return np.full(size, 0.25)
-
-    def exponential(self, size):
+    def standard_exponential(self, size):
         return np.ones(size)
 
 
@@ -85,7 +84,7 @@ def fixed_draws(monkeypatch):
     A uniform draw of 0.25 gives radius R*sqrt(0.25) = R/2 in every cell.
     The tagged UE sits at angle 2*pi*0.25 = pi/2, at (cx, cy + R/2); an
     uplink UE at angle pi*0.25 = pi/4 from the ray from its cell centre
-    toward the tagged UE, also when read from a jumped copy of the stream.
+    toward the tagged UE, its sine taken in float32 as the kernel takes it.
     Each link then has one Cartesian length. From 64 trials on, the tagged
     radius is stratified: trial i's tagged UE sits at radius
     R*sqrt((i % 32 + 0.25) / 32) instead.

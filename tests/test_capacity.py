@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from conftest import (NOISE, P_MACRO, P_PICO, P_UE, g, g_is_concave,
-                      g_second_derivative)
+                      g_second_derivative, ray_angle)
 
 from hetcap import (DuplexConfig, DuplexMode, ECEstimate, MacroBS,
                     NetworkTopology, QoSConfig, Region, SmallCell, ec_exact_mc,
@@ -353,9 +353,10 @@ class TestSquaredDistanceKernel:
         victim = (tagged.center[0], tagged.center[1] + tagged.radius / 2.0)
 
         def uplink_ue(cell):
-            # angle pi/4 from the ray from the cell centre toward the victim
+            # angle pi/4 from the ray from the cell centre toward the victim,
+            # as the kernel's float32 sine resolves it
             phi = math.atan2(victim[1] - cell.center[1],
-                             victim[0] - cell.center[0]) + math.pi / 4.0
+                             victim[0] - cell.center[0]) + ray_angle(0.25)
             return (cell.center[0] + cell.radius / 2.0 * math.cos(phi),
                     cell.center[1] + cell.radius / 2.0 * math.sin(phi))
 
@@ -379,41 +380,64 @@ def dense_topology() -> NetworkTopology:
                               macro_power=P_MACRO)
 
 
+def replay_chunk(spec, chunk: int, n: int, float32_sine: bool = True):
+    """Chunk ``chunk`` of ``n`` trials, every draw made whole in stream order.
+
+    Main stream (seed, chunk): tagged u (trial i in stratum i mod 32), tagged
+    angle, signal fading, BS fading (n, M); BS links in the global frame.
+    Substreams (seed, chunk, 1..3): uplink u, float32 v and UE fading, each
+    (n, M-1); UE links in the ray frame, in the kernel's operation order,
+    with sin^2(pi v / 2) in float32 or, if not ``float32_sine``, in float64.
+    """
+    rng, u_rng, v_rng, h_rng = (np.random.default_rng(np.random.SeedSequence(
+        entropy=spec.seed, spawn_key=(0, chunk) + k))
+        for k in ((), (1,), (2,), (3,)))
+    u = (np.arange(n) % 32 + rng.random(n)) / 32
+    r_t = spec.tagged_radius * np.sqrt(u)
+    th_t = 2.0 * np.pi * rng.random(n)
+    signal = spec.tagged_power * rng.exponential(size=n) \
+        * path_loss_gain(r_t, spec.tagged_alpha)
+    x, y = disk_points_xy(spec.tagged_center, r_t, th_t)
+    d2 = (x[:, None] - spec.bs_xy[:, 0]) ** 2 \
+        + (y[:, None] - spec.bs_xy[:, 1]) ** 2
+    h = rng.exponential(size=d2.shape) * spec.bs_power
+    h *= np.maximum(d2, 1.0) ** (-0.5 * spec.bs_alpha)
+    i_bs = h.sum(axis=1)
+    shape = (n, len(spec.other_radius))
+    rho = np.sqrt((x[:, None] - spec.bs_xy[1:, 0]) ** 2
+                  + (y[:, None] - spec.bs_xy[1:, 1]) ** 2)
+    r = np.sqrt(u_rng.random(shape)) * spec.other_radius
+    v = v_rng.random(shape, dtype=np.float32)
+    if float32_sine:
+        sin_sq = np.sin(v * np.float32(0.5 * np.pi)) ** 2
+    else:
+        sin_sq = np.sin(v.astype(float) * (0.5 * np.pi)) ** 2
+    d2 = (rho - r) ** 2 + sin_sq * rho * r * 4.0
+    h = h_rng.exponential(size=shape) * spec.ue_tx_power
+    h *= np.maximum(d2, 1.0) ** (-0.5 * spec.other_alpha)
+    return signal, i_bs, h.sum(axis=1)
+
+
 class TestBlockedKernel:
     """Row blocks and ray-frame uplink angles against whole-stream replays."""
 
     def test_signal_and_bs_interference_match_global_frame_replay(
             self, sparse_topology):
-        # replay the whole stream with every draw made whole, in stream order:
-        # tagged u (trial i in stratum i mod 32), tagged angle, signal fading,
-        # BS fading, uplink u (n, M-1), uplink v (n, M-1), UE fading; BS links
-        # in the global frame, UE links in the ray frame in the kernel's order
         spec = capacity._kernel_spec(sparse_topology, P_UE, 5)
-        n = 1808
-        signal, i_bs, i_ue = capacity._simulate_chunk(spec, 2, n)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=5, spawn_key=(0, 2)))
-        u = (np.arange(n) % 32 + rng.random(n)) / 32
-        r_t = spec.tagged_radius * np.sqrt(u)
-        th_t = 2.0 * np.pi * rng.random(n)
-        want_signal = spec.tagged_power * rng.exponential(size=n) \
-            * path_loss_gain(r_t, spec.tagged_alpha)
-        x, y = disk_points_xy(spec.tagged_center, r_t, th_t)
-        d2 = (x[:, None] - spec.bs_xy[:, 0]) ** 2 \
-            + (y[:, None] - spec.bs_xy[:, 1]) ** 2
-        h = rng.exponential(size=d2.shape) * spec.bs_power
-        h *= np.maximum(d2, 1.0) ** (-0.5 * spec.bs_alpha)
-        np.testing.assert_array_equal(signal, want_signal)
-        np.testing.assert_array_equal(i_bs, h.sum(axis=1))
-        shape = (n, len(spec.other_xy))
-        u, v = rng.random(shape), rng.random(shape)
-        rho = np.sqrt((x[:, None] - spec.other_xy[:, 0]) ** 2
-                      + (y[:, None] - spec.other_xy[:, 1]) ** 2)
-        r = np.sqrt(u) * spec.other_radius
-        d2 = (rho - r) ** 2 + np.sin(v * (0.5 * np.pi)) ** 2 * rho * r * 4.0
-        h = rng.exponential(size=shape) * spec.ue_tx_power
-        h *= np.maximum(d2, 1.0) ** (-0.5 * spec.other_alpha)
-        np.testing.assert_array_equal(i_ue, h.sum(axis=1))
+        got = capacity._simulate_chunk(spec, 2, 1808)
+        for values, want in zip(got, replay_chunk(spec, 2, 1808)):
+            np.testing.assert_array_equal(values, want)
+
+    @pytest.mark.parametrize("topology", ["sparse_topology", "dense_topology"])
+    def test_float32_angle_sine_matches_float64_replay(self, request,
+                                                       topology):
+        # float32 sin^2(pi v / 2) lies within 3.5e-7 of float64, relative,
+        # at each of the 2^24 values of v, so a link's gain d^-alpha within
+        # alpha/2 times that
+        spec = capacity._kernel_spec(request.getfixturevalue(topology), P_UE, 5)
+        i_ue = capacity._simulate_chunk(spec, 2, 1808)[2]
+        want = replay_chunk(spec, 2, 1808, float32_sine=False)[2]
+        np.testing.assert_allclose(i_ue, want, rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("n", [1, 1808, 8192])
     @pytest.mark.parametrize("rows", [1, 7, 8192])
@@ -425,17 +449,38 @@ class TestBlockedKernel:
         for got, expected in zip(capacity._simulate_chunk(spec, 1, n), want):
             np.testing.assert_array_equal(got, expected)
 
-    #: sha256 of the signal, BS and UE interference bytes per (M, trials), as
-    #: the kernel gave them when it drew the uplink uniforms whole
+    #: sha256 of the signal, BS and UE interference bytes per (M, trials).
+    #: The signal and BS digests are those the kernel has given since it
+    #: drew the uplink uniforms whole: its main stream is unchanged. The UE
+    #: digests date from the uplink substreams and the float32 angle sine.
+    #: They are exact float64 bytes, computed with numpy 2.4 on an x86-64 CPU
+    #: with AVX-512: they assume its SIMD float32 ``sin`` and float64 ``pow``
+    #: code paths, and another code path needs new UE digests.
     DIGESTS = {
-        (17, 1): "5e64b769a7da41cf22a342be8900350a82435fdf713e4192d6b2316bfb7e93ec",
-        (17, 1808): "a9b54acda59fe1cc7716e5684495d0bf6ec0a1069779d7b10dc64366add4e2d7",
-        (17, 8192): "3982ed9b0f14a0074e144c0af9552c16ae6aca8775226946e042f34691f10b0f",
-        (17, 8193): "6af6983f72c4af3ad67e3f3f4dfbde0e79e0544e15d90b5ab80023f85133632d",
-        (157, 1): "33f4a0e78d13cb4fd3a712d7c0c701d46e6dc561ba5596ac7542c5644cc200c2",
-        (157, 1808): "410f92bf31eab3e6ec460d5b46c241e23d41ebf3f2175c1ff544c5496b732b7b",
-        (157, 8192): "a827c5ca37d5fcd71d3de37eee5793be5b0523c99f0382bfe0723ce836287d8a",
-        (157, 8193): "74264ff772072d3fc5ebebad123c5994a8b14b15e845c9d9e2dfbd07e7ef1240",
+        (17, 1): ("d776cfb38abf37c2f3657ea924cbe2a33fc4dbd9ee51db854853a2e2e487d4be",
+                  "a4d011fad55e58f00bea7d0a21d266c233a0535f7fd9a08395dc3873ff649488",
+                  "af29f9be314b72910409d4e80e52af1ced5ebd35d0215a6b1fec2b7b92a92f5c"),
+        (17, 1808): ("360518828821ee7fe31451b65c6a6f5d67f20b84098f1a35a016e30b153f496d",
+                     "e0bec263c9851733b5736761bf63d63f401a992c1cc471091b1ce5b1144109b2",
+                     "d1a4352375c1eb6cce05a39f1b8f18d77cc4808b6dde022e8aab449751f72f3e"),
+        (17, 8192): ("8944818c50414f284960a7c71ef16a7cc7371951259763724f38193461399869",
+                     "46c0a65c4107c302e235d74cec31b9dd32ff5d86dcfa5de69b865f906a7d518c",
+                     "1642c336293e7c77cc055aa4579fbbf74177835602aabffa04e162b8b3a0ae2c"),
+        (17, 8193): ("8a109f1df6bd43c6426914fffe49166f4b2f43d70d408731dcaa859ba6945b30",
+                     "8b208a0d53ed250e303734205878cec04b09a6e5c748cc540575b394f6e2e7ad",
+                     "ca6c88f2f7b493ca680eff371428ee61e5a277ceb0fea3ac7f174f4656ade86f"),
+        (157, 1): ("4bb18e2d364dc1205f3bcc80d18b724944839d711cf006811316478d0ca8b6cf",
+                   "f7dd3b269afe72d65bf0a81f7a2efca5b2e8e049d5a1fb49a1b2b0c7806f4b69",
+                   "bc4156ae10bcb8bbe28ddbdd5f83bff34d32590dbc95070a34eea9a416e34248"),
+        (157, 1808): ("bd2f25622c5340e52cc3dab30990112b51b496273153960fe91576ec261c0165",
+                      "52241997bfe37b742881560c8a5671516cb3c1848bb70ed68cf6adf2c3fd756c",
+                      "a36d9c660891e2ce4c9f027899c2b0cdf85a1eb479353be4c52775b2ccb601f9"),
+        (157, 8192): ("e933897a52132d2d38d26a2dc23a0b0866ff8ce03eb0b3b6be6c5c3b6c439673",
+                      "c8e4d909bc99544b9feb1fa6d65fc812999800c8fa87af9c03e264bda3bb2a3e",
+                      "0fbb8acb898e3ddd3bc064bd49e19eb865763b0eb4b43fc37a364b85a1d120fd"),
+        (157, 8193): ("dde95e6977aa99de0cc77910d8ae5f29437d37a2a36c3f7da7ceddcd6244f8ed",
+                      "6a3f7bb7e59a0b438bf066e89dda86a80640340e43a166914132162b2006231d",
+                      "1c9fe66bdafbfd6b851b22514e76ba2c0a0e1dc3abcbb8ca9e3d60983883c2b8"),
     }
 
     @pytest.mark.parametrize("m,n", list(DIGESTS))
@@ -445,11 +490,11 @@ class TestBlockedKernel:
         topology = sparse_topology if m == 17 else dense_topology
         assert len(topology.small_cells) == m
         components = simulate_components(topology, P_UE, n, 5)
-        sha = hashlib.sha256()
-        for values in (components.signal, components.bs_interference,
-                       components.ue_interference):
-            sha.update(values.tobytes())
-        assert sha.hexdigest() == self.DIGESTS[m, n]
+        got = tuple(hashlib.sha256(values.tobytes()).hexdigest()
+                    for values in (components.signal,
+                                   components.bs_interference,
+                                   components.ue_interference))
+        assert got == self.DIGESTS[m, n]
 
     def test_ue_interference_matches_global_frame_law(self):
         # an independent sample with global-frame angles; the two 1 m disks
@@ -536,7 +581,7 @@ class TestTaggedRadiusStrata:
         assert se == float(z.std(ddof=1)) / math.sqrt(n) / (1e-3 * z_mean)
 
     @pytest.mark.parametrize("mode,exact,exact_se,bound,bound_se", [
-        (DuplexMode.FD, 404.25456969273085, 22.009649552962717,
+        (DuplexMode.FD, 404.36841236001897, 22.010499543380156,
          425.68242857969574, 29.54075627464885),
         (DuplexMode.HD, 209.0502835979566, 11.275982980130637,
          222.38133325678197, 15.584793400351)])

@@ -242,7 +242,7 @@ class TestCli:
             "theta = 1.000e-03 1/bit, guarantee bound 7.702e-03 -> ok\n"
             "hd: EC(theta=1e-6) = 222.539, mean rate = 222.546 bits/block, "
             "rel diff 3.46e-05\n"
-            "fd: EC(theta=1e-6) = 439.173, mean rate = 439.203 bits/block, "
+            "fd: EC(theta=1e-6) = 439.333, mean rate = 439.363 bits/block, "
             "rel diff 6.93e-05\n")
 
     @pytest.mark.filterwarnings("ignore::hetcap.QoSBoundWarning")

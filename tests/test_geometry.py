@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import P_UE
+from conftest import P_UE, ray_angle
 
 from hetcap import (InfeasibleRegionError, InvalidTopologyError, MacroBS,
                     NetworkTopology, Region, RegionTooLargeError,
@@ -128,24 +128,24 @@ class TestInterfererDistance:
         np.testing.assert_allclose(i_ue, P_UE * 410.0**-3, rtol=1e-12)
 
     def test_matches_cartesian_oracle(self):
-        # replay the kernel's stream (draw order: tagged radius, its u in
-        # stratum i mod 32 for trial i, and angle, signal fading, BS fading,
-        # interferer radii and angles, UE fading), place the interferer at
-        # angle pi * v from the ray from its centre toward the tagged UE, and
-        # measure every link with hypot on the Cartesian positions
+        # replay the kernel's streams (main stream: tagged radius, its u in
+        # stratum i mod 32 for trial i, and angle, signal fading, BS fading;
+        # substreams 1-3: interferer radii, float32 angles, UE fading), place
+        # the interferer at the angle the kernel resolves from pi * v, from
+        # the ray from its centre toward the tagged UE, and measure every
+        # link with hypot on the Cartesian positions
         tagged = SmallCell((300.0, 0.0), 90.0, 1.0, 3.0)
         other = SmallCell((-100.0, 200.0), 60.0, 1.0, 3.5)
         n = 1000
         got = _ue_interference(tagged, other, n, 9)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=9, spawn_key=(0, 0)))
+        rng, u_rng, v_rng, h_rng = (np.random.default_rng(
+            np.random.SeedSequence(entropy=9, spawn_key=(0, 0) + k))
+            for k in ((), (1,), (2,), (3,)))
         r_t = tagged.radius * np.sqrt((np.arange(n) % 32 + rng.random(n)) / 32)
         th_t = 2.0 * np.pi * rng.random(n)
-        rng.exponential(size=n)
-        rng.exponential(size=(n, 2))
-        r_i = other.radius * np.sqrt(rng.random(n))
-        t_i = np.pi * rng.random(n)
-        h = rng.exponential(size=n)
+        r_i = other.radius * np.sqrt(u_rng.random(n))
+        t_i = ray_angle(v_rng.random(n, dtype=np.float32))
+        h = h_rng.exponential(size=n)
         ux, uy = disk_points_xy(tagged.center, r_t, th_t)
         phi = np.arctan2(uy - other.center[1], ux - other.center[0])
         ix, iy = disk_points_xy(other.center, r_i, phi + t_i)
