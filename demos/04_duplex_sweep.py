@@ -26,7 +26,7 @@ for label, density in (("sparse 5 /km^2", 5e-6), ("dense 50 /km^2", 50e-6)):
                                       seed=1000, cell_power=dbm_to_watts(35.0),
                                       alpha=3.0, macro_power=dbm_to_watts(46.0))
     sweep = sweep_eta(topology, QOS, NOISE, P_UE, GRID, trials=40000, seed=5)
-    print(f"== {label}: {len(topology.small_cells)} cells ==")
+    print(f"== {label}: {len(topology.centers)} cells ==")
     print(f"{'eta [dB]':>9} {'HD exact':>9} {'FD exact':>9} "
           f"{'HD bound':>9} {'FD bound':>9}")
     for eta, row in zip(sweep.eta_grid, sweep.rows):

@@ -8,8 +8,8 @@ network size.
 from .capacity import (ECEstimate, TrialComponents, ec_exact_mc,
                        ec_from_components, ec_lower_bound,
                        mean_rate_from_components, simulate_components)
-from .channel import (D_MIN, DuplexConfig, DuplexMode, QoSBoundWarning,
-                      QoSConfig, path_loss_gain)
+from .channel import (D_MIN, DuplexConfig, DuplexMode, QoSConfig,
+                      path_loss_gain)
 from .config import (ScenarioConfig, ScenarioFormatError,
                      ScenarioValidationError, dbm_to_watts, emit_benchmark_csv,
                      emit_breakdown_csv, emit_sweep_csv, load_scenario,

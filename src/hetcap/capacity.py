@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import (DuplexConfig, DuplexMode, QoSConfig, _duplex_terms,
                       _path_loss_gain_sq, path_loss_gain)
-from .geometry import NetworkTopology, SmallCell, disk_points_xy
+from .geometry import NetworkTopology, disk_points_xy
 from .interference import total_mean_interference
 
 #: Trials per RNG substream; fixed so results never depend on worker count.
@@ -87,46 +87,6 @@ class TrialComponents:
         return self.bs_interference + self.ue_interference
 
 
-def _interference(components: TrialComponents, ue_counts: bool) -> np.ndarray:
-    """Per-trial interference the duplex mode hears, RSI and noise aside."""
-    return components._bs_ue_interference if ue_counts \
-        else components.bs_interference
-
-
-@dataclass(frozen=True)
-class _KernelSpec:
-    """Plain-array picture of a topology, picklable for worker processes."""
-
-    tagged_center: tuple[float, float]
-    tagged_radius: float
-    tagged_power: float
-    tagged_alpha: float
-    bs_xy: np.ndarray        # (n_bs, 2): macro first, then non-tagged cells
-    bs_power: np.ndarray
-    bs_alpha: np.ndarray
-    other_radius: np.ndarray  # non-tagged cells, in bs_xy[1:] order
-    other_alpha: np.ndarray
-    ue_tx_power: float
-    seed: int
-
-
-def _kernel_spec(topology: NetworkTopology, ue_tx_power: float,
-                 seed: int) -> _KernelSpec:
-    tagged = topology.tagged_cell
-    others = [c for k, c in enumerate(topology.small_cells)
-              if k != topology.tagged_index]
-    bs_xy = np.array([topology.macro_bs.position] + [c.center for c in others],
-                     dtype=float).reshape(-1, 2)
-    bs_power = np.array([topology.macro_bs.power] + [c.power for c in others])
-    bs_alpha = np.array([topology.macro_bs.alpha] + [c.alpha for c in others])
-    return _KernelSpec(
-        tagged.center, tagged.radius, tagged.power, tagged.alpha,
-        bs_xy, bs_power, bs_alpha,
-        np.array([c.radius for c in others]),
-        np.array([c.alpha for c in others]),
-        ue_tx_power, seed)
-
-
 def _strata(trials: int) -> int:
     """Strata of a ``trials``-trial run: 1 unless each gets two trials."""
     return _STRATA if trials >= 2 * _STRATA else 1
@@ -144,16 +104,6 @@ def _tagged_radius(radius: float, n: int, rng: np.random.Generator,
     return np.multiply(np.sqrt(u, out=u), radius, out=u)
 
 
-def _squared_distance(x: np.ndarray, y: np.ndarray, px, py) -> np.ndarray:
-    """(trials, links) squared distances from per-trial points (x, y) to (px, py)."""
-    dx = x[:, None] - px
-    dy = y[:, None] - py
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx
-
-
 def _faded_sum(rng: np.random.Generator, d2: np.ndarray, alpha,
                power) -> np.ndarray:
     """Per-row sum of power * unit-mean fading * path-loss gain at ``d2``."""
@@ -163,7 +113,8 @@ def _faded_sum(rng: np.random.Generator, d2: np.ndarray, alpha,
     return h.sum(axis=1)
 
 
-def _simulate_chunk(spec: _KernelSpec, chunk: int, n: int) -> tuple[np.ndarray, ...]:
+def _simulate_chunk(topology: NetworkTopology, ue_tx_power: float, seed: int,
+                    chunk: int, n: int) -> tuple[np.ndarray, ...]:
     """Simulate one chunk of ``n`` trials: signal, BS and UE interference.
 
     The chunk's main stream, keyed (seed, chunk), gives in this order: the
@@ -182,24 +133,28 @@ def _simulate_chunk(spec: _KernelSpec, chunk: int, n: int) -> tuple[np.ndarray, 
     block length.
     """
     rng, u_rng, v_rng, h_rng = (np.random.default_rng(np.random.SeedSequence(
-        entropy=spec.seed, spawn_key=(_STREAM_TRIALS, chunk) + k))
+        entropy=seed, spawn_key=(_STREAM_TRIALS, chunk) + k))
         for k in ((), (1,), (2,), (3,)))
+    t, others = topology._tagged(), topology.others
+    bs_xy, bs_power, bs_alpha = topology.interfering_bs
+    other_radius, other_alpha = topology.radius[others], topology.alpha[others]
     # the run's trial count if this chunk is its last, and larger otherwise
-    r_t = _tagged_radius(spec.tagged_radius, n, rng,
+    r_t = _tagged_radius(topology.radius[t], n, rng,
                          _strata(chunk * CHUNK_TRIALS + n))
     th_t = 2.0 * np.pi * rng.random(n)
-    signal = spec.tagged_power * rng.standard_exponential(size=n) \
-        * path_loss_gain(r_t, spec.tagged_alpha)
-    ue_x, ue_y = disk_points_xy(spec.tagged_center, r_t, th_t)
+    signal = topology.power[t] * rng.standard_exponential(size=n) \
+        * path_loss_gain(r_t, topology.alpha[t])
+    ue_x, ue_y = disk_points_xy(topology.centers[t], r_t, th_t)
     i_bs, i_ue = np.empty(n), np.empty(n)
     for a in range(0, n, _BLOCK_ROWS):
         blk = slice(a, a + _BLOCK_ROWS)
-        d2 = _squared_distance(ue_x[blk], ue_y[blk], spec.bs_xy[:, 0],
-                               spec.bs_xy[:, 1])
+        d2 = ue_x[blk, None] - bs_xy[:, 0]     # squared distances to all BSs
+        d2 *= d2
+        d2 += np.square(ue_y[blk, None] - bs_xy[:, 1])
         rho = np.sqrt(d2[:, 1:])                # macro first, then the cells
-        i_bs[blk] = _faded_sum(rng, d2, spec.bs_alpha, spec.bs_power)
+        i_bs[blk] = _faded_sum(rng, d2, bs_alpha, bs_power)
         r = np.sqrt(u_rng.random(rho.shape))    # r = R sqrt(u)
-        r *= spec.other_radius
+        r *= other_radius
         s = v_rng.random(rho.shape, dtype=np.float32)
         s *= np.float32(0.5 * np.pi)
         np.sin(s, out=s)
@@ -210,7 +165,7 @@ def _simulate_chunk(spec: _KernelSpec, chunk: int, n: int) -> tuple[np.ndarray, 
         d2 = rho - r
         d2 *= d2
         d2 += c
-        i_ue[blk] = _faded_sum(h_rng, d2, spec.other_alpha, spec.ue_tx_power)
+        i_ue[blk] = _faded_sum(h_rng, d2, other_alpha, ue_tx_power)
     return signal, i_bs, i_ue
 
 
@@ -230,14 +185,13 @@ def simulate_components(topology: NetworkTopology, ue_tx_power: float,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    spec = _kernel_spec(topology, ue_tx_power, seed)
+    run = functools.partial(_simulate_chunk, topology, ue_tx_power, seed)
     sizes = _chunk_sizes(trials)
     if workers > 1 and len(sizes) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_simulate_chunk, [spec] * len(sizes),
-                                  range(len(sizes)), sizes, chunksize=1))
+            parts = list(pool.map(run, range(len(sizes)), sizes, chunksize=1))
     else:
-        parts = [_simulate_chunk(spec, c, n) for c, n in enumerate(sizes)]
+        parts = [run(c, n) for c, n in enumerate(sizes)]
     signal, i_bs, i_ue = (np.concatenate(arrs) for arrs in zip(*parts))
     return TrialComponents(signal, i_bs, i_ue)
 
@@ -284,7 +238,8 @@ def _denominator(components: TrialComponents, duplex: DuplexConfig,
     if noise <= 0:
         raise ValueError("noise must be > 0")
     ue_counts, rsi, share = _duplex_terms(duplex)
-    denom = _interference(components, ue_counts) + rsi    # a new array
+    denom = (components._bs_ue_interference if ue_counts
+             else components.bs_interference) + rsi     # a new array
     denom += noise
     return denom, share
 
@@ -325,13 +280,14 @@ def ec_exact_mc(topology: NetworkTopology, duplex: DuplexConfig, qos: QoSConfig,
     return ec_from_components(components, duplex, qos, noise)
 
 
-def _lb_signal_draws(tagged: SmallCell, n: int, seed: int) -> np.ndarray:
+def _lb_signal_draws(topology: NetworkTopology, n: int, seed: int) -> np.ndarray:
     """Desired-signal powers the bound averages over; independent of eta."""
+    t = topology._tagged()
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_STREAM_LB_SIGNAL,)))
-    r = _tagged_radius(tagged.radius, n, rng, _strata(n))
-    return tagged.power * rng.standard_exponential(size=n) \
-        * path_loss_gain(r, tagged.alpha)
+    r = _tagged_radius(topology.radius[t], n, rng, _strata(n))
+    return topology.power[t] * rng.standard_exponential(size=n) \
+        * path_loss_gain(r, topology.alpha[t])
 
 
 def _lb_reduce(s: np.ndarray, i_mean: float, duplex: DuplexConfig,
@@ -362,7 +318,7 @@ def _lb_over_duplexes(topology: NetworkTopology, duplexes: list[DuplexConfig],
     The signal draws are made once, and the exact mean interference once per
     (duplex mode, UE power); only ``_lb_reduce`` runs per duplex.
     """
-    s = _lb_signal_draws(topology.tagged_cell, signal_samples, seed)
+    s = _lb_signal_draws(topology, signal_samples, seed)
     means: dict[tuple, float] = {}
     bounds = []
     for duplex in duplexes:

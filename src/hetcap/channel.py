@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +22,6 @@ D_MIN = 1.0
 class DuplexMode(enum.Enum):
     HD = "hd"
     FD = "fd"
-
-
-class QoSBoundWarning(UserWarning):
-    """theta exceeds the range for which the lower bound is guaranteed."""
 
 
 @dataclass(frozen=True)
@@ -65,11 +60,6 @@ class QoSConfig:
             raise ValueError("theta must be > 0")
         if self.frame_time <= 0 or self.bandwidth <= 0:
             raise ValueError("frame_time and bandwidth must be > 0")
-        if self.beta > 1.0:
-            warnings.warn(
-                f"beta = {self.beta:.4g} > 1: the Jensen lower bound is not "
-                f"guaranteed (theta bound {self.theta_bound:.4g})",
-                QoSBoundWarning, stacklevel=2)
 
     @property
     def bits_per_use(self) -> float:

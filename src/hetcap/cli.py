@@ -79,7 +79,7 @@ def _cmd_generate(args) -> int:
     topology = _topology(cfg)
     out = args.out or "topology.txt"
     config.save_topology(topology, out)
-    print(f"{len(topology.small_cells)} small cells (tagged "
+    print(f"{len(topology.centers)} small cells (tagged "
           f"{topology.tagged_index}) -> {out}")
     return 0
 

@@ -13,10 +13,11 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
 from .channel import DuplexConfig, DuplexMode, QoSConfig
 from .experiments import BenchmarkReport, SweepResult
-from .geometry import (MacroBS, NetworkTopology, Region, SmallCell,
-                       sample_matern_hcpp)
+from .geometry import MacroBS, NetworkTopology, Region, sample_matern_hcpp
 from .interference import MeanInterferenceBreakdown
 
 
@@ -139,6 +140,15 @@ def _parse_kv_lines(path: str) -> list[tuple[int, str, str]]:
     return entries
 
 
+def _parse(path: str, lineno: int, key: str, text: str, convert):
+    """``convert(text)``, a failure raised as a located ``ScenarioFormatError``."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ScenarioFormatError(
+            f"{path}:{lineno}: bad value {text!r} for {key}") from exc
+
+
 def load_scenario(path: str) -> ScenarioConfig:
     """Load a scenario file; omitted keys fall back to the reference defaults.
 
@@ -148,25 +158,17 @@ def load_scenario(path: str) -> ScenarioConfig:
     values: dict = {}
     saw_eta_db = saw_eta = False
     for lineno, key, text in _parse_kv_lines(path):
-        try:
-            if key == "eta_db":
-                saw_eta_db = True
-                values["eta"] = 10.0 ** (float(text) / 10.0)
-            elif key == "duplex_mode":
-                values[key] = text.lower()
-            elif key in _INT_KEYS:
-                values[key] = int(text)
-            elif key in _SCENARIO_KEYS:
-                if key == "eta":
-                    saw_eta = True
-                values[key] = float(text)
-            else:
-                raise ScenarioFormatError(f"{path}:{lineno}: unknown key {key!r}")
-        except ValueError as exc:
-            if isinstance(exc, (ScenarioFormatError, ScenarioValidationError)):
-                raise
-            raise ScenarioFormatError(
-                f"{path}:{lineno}: bad value {text!r} for {key}") from exc
+        if key == "eta_db":
+            saw_eta_db = True
+            values["eta"] = 10.0 ** (_parse(path, lineno, key, text, float) / 10.0)
+        elif key == "duplex_mode":
+            values[key] = text.lower()
+        elif key in _SCENARIO_KEYS:
+            saw_eta |= key == "eta"
+            values[key] = _parse(path, lineno, key, text,
+                                 int if key in _INT_KEYS else float)
+        else:
+            raise ScenarioFormatError(f"{path}:{lineno}: unknown key {key!r}")
     if saw_eta_db and saw_eta:
         raise ScenarioFormatError(f"{path}: give eta_db or eta, not both")
     try:
@@ -180,9 +182,7 @@ def save_scenario(config: ScenarioConfig, path: str) -> None:
         fh.write("# hetcap scenario\n")
         for f in fields(ScenarioConfig):
             value = getattr(config, f.name)
-            if f.name in _INT_KEYS:
-                fh.write(f"{f.name} = {value}\n")
-            elif f.name == "duplex_mode":
+            if f.name in _INT_KEYS or f.name == "duplex_mode":
                 fh.write(f"{f.name} = {value}\n")
             else:
                 fh.write(f"{f.name} = {value!r}\n")
@@ -205,35 +205,41 @@ def save_topology(topology: NetworkTopology, path: str) -> None:
         fh.write(f"macro_alpha = {topology.macro_bs.alpha!r}\n")
         fh.write(f"hard_core_m = {topology.hard_core_distance!r}\n")
         fh.write(f"tagged_index = {topology.tagged_index}\n")
-        for cell in topology.small_cells:
-            fh.write(f"cell = {cell.center[0]!r} {cell.center[1]!r} "
-                     f"{cell.radius!r} {watts_to_dbm(cell.power)!r} "
-                     f"{cell.alpha!r}\n")
+        for x, y, radius, power, alpha in topology._table():  # Python floats
+            fh.write(f"cell = {x!r} {y!r} {radius!r} {watts_to_dbm(power)!r} "
+                     f"{alpha!r}\n")
+
+
+_TOPOLOGY_KEYS = {"macro_radius_m": float, "macro_x_m": float, "macro_y_m": float,
+                  "macro_power_dbm": float, "macro_alpha": float, "hard_core_m": float,
+                  "tagged_index": lambda text: None if text == "None" else int(text)}
 
 
 def load_topology(path: str) -> NetworkTopology:
-    scalars: dict[str, str] = {}
-    cells: list[SmallCell] = []
+    """Read a ``save_topology`` file; a bad line raises ``ScenarioFormatError``."""
+    values: dict = {}
+    cells = []      # x, y, radius, power (W), alpha per cell
     for lineno, key, text in _parse_kv_lines(path):
         if key == "cell":
             parts = text.split()
             if len(parts) != 5:
                 raise ScenarioFormatError(
                     f"{path}:{lineno}: cell needs 5 fields, got {len(parts)}")
-            x, y, radius, power_dbm, alpha = (float(p) for p in parts)
-            cells.append(SmallCell((x, y), radius, dbm_to_watts(power_dbm), alpha))
+            x, y, radius, dbm, alpha = (
+                _parse(path, lineno, key, p, float) for p in parts)
+            cells.append((x, y, radius, dbm_to_watts(dbm), alpha))
+        elif key in _TOPOLOGY_KEYS:
+            values[key] = _parse(path, lineno, key, text, _TOPOLOGY_KEYS[key])
         else:
-            scalars[key] = text
+            raise ScenarioFormatError(f"{path}:{lineno}: unknown key {key!r}")
     try:
-        region = Region(float(scalars["macro_radius_m"]))
-        macro = MacroBS(
-            (float(scalars.get("macro_x_m", 0.0)), float(scalars.get("macro_y_m", 0.0))),
-            dbm_to_watts(float(scalars["macro_power_dbm"])),
-            float(scalars.get("macro_alpha", 3.0)))
-        tagged_text = scalars.get("tagged_index", "None")
-        tagged = None if tagged_text == "None" else int(tagged_text)
-        return NetworkTopology(macro, tuple(cells),
-                               float(scalars["hard_core_m"]), tagged, region)
+        region = Region(values["macro_radius_m"])
+        macro = MacroBS((values.get("macro_x_m", 0.0), values.get("macro_y_m", 0.0)),
+                        dbm_to_watts(values["macro_power_dbm"]),
+                        values.get("macro_alpha", 3.0))
+        table = np.array(cells).reshape(-1, 5)    # radius, power, alpha columns
+        return NetworkTopology(macro, table[:, :2], *table[:, 2:].T,
+                               values["hard_core_m"], values.get("tagged_index"), region)
     except KeyError as exc:
         raise ScenarioFormatError(f"{path}: missing key {exc.args[0]!r}") from exc
 

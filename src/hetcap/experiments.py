@@ -183,4 +183,4 @@ def benchmark_runtime(topology: NetworkTopology, duplex: DuplexConfig,
     lb_seconds = timed(
         lambda: ec_lower_bound(topology, duplex, qos, noise, n_lb, seed))
     return BenchmarkReport(exact_seconds, lb_seconds, n_exact, n_lb,
-                           len(topology.small_cells), target_std_error)
+                           len(topology.centers), target_std_error)

@@ -1,5 +1,9 @@
 """Hard-core small-cell deployments and uniform-in-disk user placement.
 
+A ``NetworkTopology`` holds its M cells as read-only arrays ``centers``
+(M, 2), ``radius``, ``power`` and ``alpha`` (M,), built once by its one
+constructor; ``SmallCell`` records are derived from them for display only.
+
 Distances are in meters and powers in watts throughout. Polar angles are
 radians in [0, 2*pi) against the global +x axis, so an absolute position is
 ``center + (r cos t, r sin t)``. The trial kernel alone measures uplink-UE
@@ -7,6 +11,8 @@ angles from the ray toward the tagged UE; see ``capacity._simulate_chunk``.
 """
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -56,7 +62,7 @@ class Region:
 
 @dataclass(frozen=True)
 class SmallCell:
-    """One low-power cell: center, coverage radius, BS power, path-loss exponent."""
+    """One cell, for display: center, coverage radius, BS power, path-loss exponent."""
 
     center: tuple[float, float]
     radius: float
@@ -71,25 +77,51 @@ class MacroBS:
     alpha: float
 
 
-@dataclass(frozen=True)
-class NetworkTopology:
-    """Fixed macro BS plus a hard-core set of small cells with one tagged cell.
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    ``tagged_index`` is None only for an empty deployment.
+
+@dataclass(frozen=True, eq=False)
+class NetworkTopology:
+    """Macro BS plus hard-core small cells, one tagged (None only when empty).
+
+    Cell k: center ``centers[k]``, radius ``radius[k]``, BS power ``power[k]``
+    (W), path-loss exponent ``alpha[k]``, copied into read-only float64
+    arrays; a scalar applies to every cell. Topologies compare by identity.
     """
 
     macro_bs: MacroBS
-    small_cells: tuple[SmallCell, ...]
+    centers: np.ndarray
+    radius: np.ndarray
+    power: np.ndarray
+    alpha: np.ndarray
     hard_core_distance: float
     tagged_index: int | None
     region: Region
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "small_cells", tuple(self.small_cells))
+        centers = np.array(self.centers, dtype=float).reshape(-1, 2)
+        if len(centers) != len(self.centers):
+            raise InvalidTopologyError(
+                f"centers must have shape (M, 2), got {np.shape(self.centers)}")
+        object.__setattr__(self, "centers", _readonly(centers))
+        for name in ("radius", "power", "alpha"):      # copies, scalars broadcast
+            object.__setattr__(self, name, _readonly(np.array(np.broadcast_to(
+                np.asarray(getattr(self, name), dtype=float), len(centers)))))
         self.validate()
 
     def validate(self) -> None:
-        n = len(self.small_cells)
+        n = len(self.centers)
+        # radius and power 0 are valid: a point cell, a silent transmitter
+        values = np.concatenate((self.radius, self.power, self.alpha,
+                                 (self.macro_bs.power, self.macro_bs.alpha)))
+        bad = ~(np.isfinite(values) & (values >= 0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            what = ("macro power", "macro alpha")[k - 3 * n] if k >= 3 * n \
+                else f"cell {k % n} {('radius', 'power', 'alpha')[k // n]}"
+            raise InvalidTopologyError(f"{what} must be finite and >= 0, got {values[k]}")
         if n == 0:
             if self.tagged_index is not None:
                 raise InvalidTopologyError("tagged_index set on an empty deployment")
@@ -97,12 +129,11 @@ class NetworkTopology:
         if self.tagged_index is None or not 0 <= self.tagged_index < n:
             raise InvalidTopologyError(
                 f"tagged_index {self.tagged_index} invalid for {n} cells")
-        centers = np.array([c.center for c in self.small_cells], dtype=float)
-        radii = np.array([c.radius for c in self.small_cells], dtype=float)
+        centers = self.centers
         if not np.isfinite(centers).all():
             raise InvalidTopologyError("a small-cell center is not finite")
         if n > 1:
-            two_largest = np.partition(radii, n - 2)[n - 2:].sum()
+            two_largest = np.partition(self.radius, n - 2)[n - 2:].sum()
             if self.hard_core_distance < two_largest - 1e-9:
                 raise InvalidTopologyError(
                     "hard core distance smaller than a pair of cell radii")
@@ -116,26 +147,52 @@ class NetworkTopology:
                         f"{self.hard_core_distance} m")
         off = np.hypot(centers[:, 0] - self.macro_bs.position[0],
                        centers[:, 1] - self.macro_bs.position[1])
-        if (off + radii > self.region.macro_radius + 1e-9).any():
+        if (off + self.radius > self.region.macro_radius + 1e-9).any():
             raise InvalidTopologyError("a small-cell disk crosses the macro boundary")
+
+    def _tagged(self) -> int:
+        """``tagged_index``; an empty deployment raises ``InvalidTopologyError``."""
+        if self.tagged_index is None:
+            raise InvalidTopologyError("empty topology has no tagged cell")
+        return self.tagged_index
+
+    @functools.cached_property
+    def others(self) -> np.ndarray:
+        """Indices of the non-tagged cells, in index order."""
+        return _readonly(np.delete(np.arange(len(self.centers)), self._tagged()))
+
+    @functools.cached_property
+    def interfering_bs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Positions (K, 2), powers and path-loss exponents of the BSs heard at
+        the tagged UE: the macro first, then ``others`` (kernel and mean)."""
+        macro, others = self.macro_bs, self.others
+        return (_readonly(np.vstack((macro.position, self.centers[others]))),
+                _readonly(np.concatenate(([macro.power], self.power[others]))),
+                _readonly(np.concatenate(([macro.alpha], self.alpha[others]))))
+
+    def _table(self) -> list[list[float]]:
+        """Rows x, y, radius, power, alpha per cell, as Python floats."""
+        return np.column_stack((self.centers, self.radius, self.power,
+                                self.alpha)).tolist()
+
+    @functools.cached_property
+    def small_cells(self) -> tuple[SmallCell, ...]:
+        """The cells as ``SmallCell`` records, for display."""
+        return tuple(SmallCell((x, y), r, p, a) for x, y, r, p, a in self._table())
 
     @property
     def tagged_cell(self) -> SmallCell:
-        if self.tagged_index is None:
-            raise InvalidTopologyError("empty topology has no tagged cell")
-        return self.small_cells[self.tagged_index]
+        """The tagged cell as a ``SmallCell`` record, for display."""
+        return self.small_cells[self._tagged()]
 
     def fingerprint(self) -> str:
         """Stable short hash of the deployment, for result provenance."""
-        import hashlib
-
         parts = [f"{self.macro_bs.position[0]:.6f},{self.macro_bs.position[1]:.6f},"
                  f"{self.macro_bs.power:.9e},{self.macro_bs.alpha:.6f}",
                  f"{self.hard_core_distance:.6f},{self.tagged_index}",
                  f"{self.region.macro_radius:.6f}"]
-        for c in self.small_cells:
-            parts.append(f"{c.center[0]:.6f},{c.center[1]:.6f},{c.radius:.6f},"
-                         f"{c.power:.9e},{c.alpha:.6f}")
+        parts += [f"{x:.6f},{y:.6f},{r:.6f},{p:.9e},{a:.6f}"
+                  for x, y, r, p, a in self._table()]
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
@@ -253,13 +310,11 @@ def sample_matern_hcpp(
             f"{region.macro_radius} m")
 
     macro = MacroBS((0.0, 0.0), macro_power, alpha)
-    rng = np.random.default_rng(seed)
     if target_density == 0 or eligible == 0:
-        cells: tuple[SmallCell, ...] = ()
-        if target_density > 0 and eligible == 0:
-            cells = (SmallCell(macro.position, cell_radius, cell_power, alpha),)
-        idx = 0 if cells else None
-        return NetworkTopology(macro, cells, hard_core, idx, region)
+        # a cell as large as the macro disk fits only at its centre
+        n = int(target_density > 0)
+        return NetworkTopology(macro, np.zeros((n, 2)), cell_radius, cell_power,
+                               alpha, hard_core, 0 if n else None, region)
 
     # Containment keeps centers within the eligible radius, so aim the
     # retained intensity higher by the area ratio macro/eligible.
@@ -281,6 +336,7 @@ def sample_matern_hcpp(
             f"expected {expected_parents:.3e} Matern parents exceed the cap "
             f"MAX_PARENTS = {MAX_PARENTS:,}; use a smaller macro radius, "
             "density or hard core")
+    rng = np.random.default_rng(seed)
     n_parent = rng.poisson(expected_parents)
     r, theta = sample_uniform_disk_batch(extended, n_parent, rng)
     marks = rng.random(n_parent)
@@ -293,10 +349,6 @@ def sample_matern_hcpp(
     np.minimum.at(rival, i, marks[j])
     np.minimum.at(rival, j, marks[i])
     centers = pts[(marks < rival) & (r <= eligible)]
-
-    cells = tuple(SmallCell((float(cx), float(cy)), cell_radius, cell_power, alpha)
-                  for cx, cy in centers)
-    if not cells:
-        return NetworkTopology(macro, (), hard_core, None, region)
-    return NetworkTopology(macro, cells, hard_core,
-                           default_tagged_index(centers, region), region)
+    tagged = default_tagged_index(centers, region) if len(centers) else None
+    return NetworkTopology(macro, centers, cell_radius, cell_power, alpha,
+                           hard_core, tagged, region)

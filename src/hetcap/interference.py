@@ -244,30 +244,24 @@ def total_mean_interference(topology: NetworkTopology,
     accept a corrupted bound), or, in full duplex, when a cell is within
     ~0.1% of touching the tagged disk (see ``mean_interference_ue_ue``).
     """
-    tagged = topology.tagged_cell
-    macro = topology.macro_bs
-    others = [(str(k), cell) for k, cell in enumerate(topology.small_cells)
-              if k != topology.tagged_index]
-    labels = [label for label, _ in others]
-    d_macro = math.hypot(tagged.center[0] - macro.position[0],
-                         tagged.center[1] - macro.position[1])
-    if d_macro <= tagged.radius:
+    t = topology._tagged()
+    (cx, cy), r_t = topology.centers[t].tolist(), float(topology.radius[t])
+    xy, power, alpha = topology.interfering_bs      # the macro first
+    labels = ["macro"] + [str(k) for k in topology.others.tolist()]
+    d_macro = math.hypot(cx - xy[0, 0], cy - xy[0, 1])
+    if d_macro <= r_t:
         raise TaylorValidityError(
             f"macro BS at {d_macro:.1f} m is inside the tagged disk "
-            f"(R={tagged.radius} m); re-draw or re-tag the topology")
+            f"(R={r_t} m); re-draw or re-tag the topology")
 
-    cells = np.array([(c.center[0], c.center[1], c.radius, c.power, c.alpha)
-                      for _, c in others]).reshape(-1, 5)
-    x, y, radius, power, alpha = cells.T
-    d = np.hypot(tagged.center[0] - x, tagged.center[1] - y)
-    bs = np.concatenate(([macro.power], power)) * _disk_pathloss(
-        np.concatenate(([d_macro], d)), tagged.radius,
-        np.concatenate(([macro.alpha], alpha)))
-    per_bs = tuple(zip(["macro"] + labels, bs.tolist()))
+    d = np.hypot(cx - xy[1:, 0], cy - xy[1:, 1])
+    bs = power * _disk_pathloss(np.concatenate(([d_macro], d)), r_t, alpha)
+    per_bs = tuple(zip(labels, bs.tolist()))
     per_ue: tuple[tuple[str, float], ...] = ()
-    if _duplex_terms(duplex)[0] and others:
-        ue = duplex.ue_tx_power * _disk_pair_pathloss(d, radius, tagged.radius, alpha)
-        per_ue = tuple(zip(labels, ue.tolist()))
+    if _duplex_terms(duplex)[0] and len(d):
+        ue = duplex.ue_tx_power * _disk_pair_pathloss(
+            d, topology.radius[topology.others], r_t, alpha[1:])
+        per_ue = tuple(zip(labels[1:], ue.tolist()))
 
     total = sum(w for _, w in per_bs) + sum(w for _, w in per_ue)
     return MeanInterferenceBreakdown(per_bs, per_ue, total)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hetcap import (DuplexConfig, DuplexMode, MacroBS, NetworkTopology,
-                    QoSConfig, Region, SmallCell, dbm_to_watts,
-                    sample_matern_hcpp)
+                    QoSConfig, Region, dbm_to_watts, sample_matern_hcpp)
 
 P_MACRO = dbm_to_watts(46.0)
 P_PICO = dbm_to_watts(35.0)
@@ -21,18 +20,16 @@ def sparse_topology() -> NetworkTopology:
 @pytest.fixture(scope="session")
 def two_cell_topology() -> NetworkTopology:
     """Tagged cell plus one interferer at exactly 500 m, macro far away."""
-    tagged = SmallCell((400.0, 0.0), 90.0, 3.1623, 3.0)
-    other = SmallCell((-100.0, 0.0), 90.0, 3.1623, 3.0)
-    return NetworkTopology(MacroBS((0.0, 0.0), P_MACRO, 3.0), (tagged, other),
+    return NetworkTopology(MacroBS((0.0, 0.0), P_MACRO, 3.0),
+                           [(400.0, 0.0), (-100.0, 0.0)], 90.0, 3.1623, 3.0,
                            180.0, 0, Region(1000.0))
 
 
 @pytest.fixture(scope="session")
 def single_cell_topology() -> NetworkTopology:
     """Only the tagged cell; the macro BS is the single interferer."""
-    tagged = SmallCell((500.0, 0.0), 90.0, P_PICO, 3.0)
-    return NetworkTopology(MacroBS((0.0, 0.0), P_MACRO, 3.0), (tagged,),
-                           180.0, 0, Region(1000.0))
+    return NetworkTopology(MacroBS((0.0, 0.0), P_MACRO, 3.0), [(500.0, 0.0)],
+                           90.0, P_PICO, 3.0, 180.0, 0, Region(1000.0))
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from conftest import (NOISE, P_MACRO, P_PICO, P_UE, g, g_is_concave,
                       g_second_derivative, ray_angle)
 
 from hetcap import (DuplexConfig, DuplexMode, ECEstimate, MacroBS,
-                    NetworkTopology, QoSConfig, Region, SmallCell, ec_exact_mc,
+                    NetworkTopology, QoSConfig, Region, ec_exact_mc,
                     ec_from_components, ec_lower_bound,
                     mean_rate_from_components, sample_matern_hcpp,
                     simulate_components, total_mean_interference)
@@ -75,9 +75,8 @@ class TestThetaConstraint:
         assert qos.theta_bound == pytest.approx(1 / (90 * math.log2(math.e)))
         assert qos.theta <= qos.theta_bound
 
-    def test_large_theta_warns(self):
-        with pytest.warns(UserWarning):
-            qos = QoSConfig(1e-1, 0.5e-3, 180e3)
+    def test_large_theta_exceeds_bound(self):
+        qos = QoSConfig(1e-1, 0.5e-3, 180e3)
         assert qos.theta > qos.theta_bound
 
     def test_loose_theta_ok(self):
@@ -157,8 +156,8 @@ class TestExactMonteCarlo:
         from hetcap import (InvalidTopologyError, MacroBS, NetworkTopology,
                             Region)
 
-        empty = NetworkTopology(MacroBS((0.0, 0.0), 39.8, 3.0), (), 180.0,
-                                None, Region(1000.0))
+        empty = NetworkTopology(MacroBS((0.0, 0.0), 39.8, 3.0), [], 90.0,
+                                1.0, 3.0, 180.0, None, Region(1000.0))
         with pytest.raises(InvalidTopologyError):
             ec_exact_mc(empty, fd_duplex, qos_default, NOISE, 100, 1)
 
@@ -213,7 +212,7 @@ class TestLowerBound:
         exact = ec_from_components(components, fd_duplex, qos_default, NOISE)
         i_mean = float((components.bs_interference
                         + components.ue_interference).mean())
-        s = _lb_signal_draws(single_cell_topology.tagged_cell, 200, 1)
+        s = _lb_signal_draws(single_cell_topology, 200, 1)
         lb = _lb_reduce(s, i_mean, fd_duplex, qos_default, NOISE)
         assert lb.ec == pytest.approx(exact.ec, rel=1e-12)
 
@@ -229,7 +228,7 @@ class TestLowerBound:
         totals = components.bs_interference + components.ue_interference
         i_mean = float(totals.mean())
         i_mean_se = float(totals.std(ddof=1)) / math.sqrt(len(totals))
-        s = _lb_signal_draws(sparse_topology.tagged_cell, 40000, 17)
+        s = _lb_signal_draws(sparse_topology, 40000, 17)
         simulated = _lb_reduce(s, i_mean, fd_duplex, qos_default, NOISE)
         # sensitivity of the bound to the frozen mean, by finite difference
         delta = 1e-6 * i_mean
@@ -249,8 +248,7 @@ class TestLowerBound:
         assert quad == pytest.approx(mc.ec, abs=4 * mc.std_error)
 
     def test_beta_above_one_annotated(self, sparse_topology, fd_duplex):
-        with pytest.warns(UserWarning):
-            qos = QoSConfig(2e-2, 0.5e-3, 180e3)
+        qos = QoSConfig(2e-2, 0.5e-3, 180e3)
         lb = ec_lower_bound(sparse_topology, fd_duplex, qos, NOISE, 5000, 23)
         assert any("not guaranteed" in note for note in lb.notes)
 
@@ -259,8 +257,7 @@ class TestLowerBound:
         # HD averages (1 + SINR)^(-beta/2), concave in I up to beta = 2
         theta_bound = 1 / (90 * math.log2(math.e))
         for beta, hd_noted in ((1.5, False), (2.5, True)):
-            with pytest.warns(UserWarning):
-                qos = QoSConfig(beta * theta_bound, 0.5e-3, 180e3)
+            qos = QoSConfig(beta * theta_bound, 0.5e-3, 180e3)
             fd, hd = (ec_lower_bound(sparse_topology, duplex, qos, NOISE,
                                      2000, 23)
                       for duplex in (fd_duplex, hd_duplex))
@@ -341,32 +338,29 @@ class TestSquaredDistanceKernel:
     def test_components_match_cartesian_oracle(self, fixed_draws):
         # pinned UEs and unit fading: every link has one Cartesian length,
         # and the macro's exponent differs from the cells'
-        from hetcap import MacroBS, NetworkTopology, Region, SmallCell
-
-        cells = (SmallCell((400.0, 0.0), 90.0, 3.1623, 3.0),
-                 SmallCell((-150.0, 250.0), 60.0, 2.0, 3.0),
-                 SmallCell((100.0, -420.0), 90.0, 1.5, 3.0))
+        centers = np.array([(400.0, 0.0), (-150.0, 250.0), (100.0, -420.0)])
+        radius, power = np.array([90.0, 60.0, 90.0]), np.array([3.1623, 2.0, 1.5])
         macro = MacroBS((0.0, 0.0), 39.81, 3.6)
-        topology = NetworkTopology(macro, cells, 180.0, 0, Region(1000.0))
+        topology = NetworkTopology(macro, centers, radius, power, 3.0, 180.0, 0,
+                                   Region(1000.0))
         comp = simulate_components(topology, P_UE, 5, 1)
-        tagged, others = cells[0], cells[1:]
-        victim = (tagged.center[0], tagged.center[1] + tagged.radius / 2.0)
+        victim = (centers[0, 0], centers[0, 1] + radius[0] / 2.0)
 
-        def uplink_ue(cell):
+        def uplink_ue(k):
             # angle pi/4 from the ray from the cell centre toward the victim,
             # as the kernel's float32 sine resolves it
-            phi = math.atan2(victim[1] - cell.center[1],
-                             victim[0] - cell.center[0]) + ray_angle(0.25)
-            return (cell.center[0] + cell.radius / 2.0 * math.cos(phi),
-                    cell.center[1] + cell.radius / 2.0 * math.sin(phi))
+            phi = math.atan2(victim[1] - centers[k, 1],
+                             victim[0] - centers[k, 0]) + ray_angle(0.25)
+            return (centers[k, 0] + radius[k] / 2.0 * math.cos(phi),
+                    centers[k, 1] + radius[k] / 2.0 * math.sin(phi))
 
         def gain(a, b, alpha):
             return max(math.hypot(a[0] - b[0], a[1] - b[1]), 1.0) ** -alpha
 
-        signal = tagged.power * gain(victim, tagged.center, tagged.alpha)
+        signal = power[0] * gain(victim, centers[0], 3.0)
         i_bs = macro.power * gain(victim, macro.position, macro.alpha) \
-            + sum(c.power * gain(victim, c.center, c.alpha) for c in others)
-        i_ue = sum(P_UE * gain(victim, uplink_ue(c), c.alpha) for c in others)
+            + sum(power[k] * gain(victim, centers[k], 3.0) for k in (1, 2))
+        i_ue = sum(P_UE * gain(victim, uplink_ue(k), 3.0) for k in (1, 2))
         for got, want in ((comp.signal, signal), (comp.bs_interference, i_bs),
                           (comp.ue_interference, i_ue)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -380,7 +374,8 @@ def dense_topology() -> NetworkTopology:
                               macro_power=P_MACRO)
 
 
-def replay_chunk(spec, chunk: int, n: int, float32_sine: bool = True):
+def replay_chunk(topology, ue_tx_power: float, seed: int, chunk: int, n: int,
+                 float32_sine: bool = True):
     """Chunk ``chunk`` of ``n`` trials, every draw made whole in stream order.
 
     Main stream (seed, chunk): tagged u (trial i in stratum i mod 32), tagged
@@ -390,31 +385,32 @@ def replay_chunk(spec, chunk: int, n: int, float32_sine: bool = True):
     with sin^2(pi v / 2) in float32 or, if not ``float32_sine``, in float64.
     """
     rng, u_rng, v_rng, h_rng = (np.random.default_rng(np.random.SeedSequence(
-        entropy=spec.seed, spawn_key=(0, chunk) + k))
+        entropy=seed, spawn_key=(0, chunk) + k))
         for k in ((), (1,), (2,), (3,)))
+    t, others = topology.tagged_index, topology.others
+    bs_xy, bs_power, bs_alpha = topology.interfering_bs
     u = (np.arange(n) % 32 + rng.random(n)) / 32
-    r_t = spec.tagged_radius * np.sqrt(u)
+    r_t = topology.radius[t] * np.sqrt(u)
     th_t = 2.0 * np.pi * rng.random(n)
-    signal = spec.tagged_power * rng.exponential(size=n) \
-        * path_loss_gain(r_t, spec.tagged_alpha)
-    x, y = disk_points_xy(spec.tagged_center, r_t, th_t)
-    d2 = (x[:, None] - spec.bs_xy[:, 0]) ** 2 \
-        + (y[:, None] - spec.bs_xy[:, 1]) ** 2
-    h = rng.exponential(size=d2.shape) * spec.bs_power
-    h *= np.maximum(d2, 1.0) ** (-0.5 * spec.bs_alpha)
+    signal = topology.power[t] * rng.exponential(size=n) \
+        * path_loss_gain(r_t, topology.alpha[t])
+    x, y = disk_points_xy(topology.centers[t], r_t, th_t)
+    d2 = (x[:, None] - bs_xy[:, 0]) ** 2 + (y[:, None] - bs_xy[:, 1]) ** 2
+    h = rng.exponential(size=d2.shape) * bs_power
+    h *= np.maximum(d2, 1.0) ** (-0.5 * bs_alpha)
     i_bs = h.sum(axis=1)
-    shape = (n, len(spec.other_radius))
-    rho = np.sqrt((x[:, None] - spec.bs_xy[1:, 0]) ** 2
-                  + (y[:, None] - spec.bs_xy[1:, 1]) ** 2)
-    r = np.sqrt(u_rng.random(shape)) * spec.other_radius
+    shape = (n, len(others))
+    rho = np.sqrt((x[:, None] - bs_xy[1:, 0]) ** 2
+                  + (y[:, None] - bs_xy[1:, 1]) ** 2)
+    r = np.sqrt(u_rng.random(shape)) * topology.radius[others]
     v = v_rng.random(shape, dtype=np.float32)
     if float32_sine:
         sin_sq = np.sin(v * np.float32(0.5 * np.pi)) ** 2
     else:
         sin_sq = np.sin(v.astype(float) * (0.5 * np.pi)) ** 2
     d2 = (rho - r) ** 2 + sin_sq * rho * r * 4.0
-    h = h_rng.exponential(size=shape) * spec.ue_tx_power
-    h *= np.maximum(d2, 1.0) ** (-0.5 * spec.other_alpha)
+    h = h_rng.exponential(size=shape) * ue_tx_power
+    h *= np.maximum(d2, 1.0) ** (-0.5 * topology.alpha[others])
     return signal, i_bs, h.sum(axis=1)
 
 
@@ -423,9 +419,9 @@ class TestBlockedKernel:
 
     def test_signal_and_bs_interference_match_global_frame_replay(
             self, sparse_topology):
-        spec = capacity._kernel_spec(sparse_topology, P_UE, 5)
-        got = capacity._simulate_chunk(spec, 2, 1808)
-        for values, want in zip(got, replay_chunk(spec, 2, 1808)):
+        got = capacity._simulate_chunk(sparse_topology, P_UE, 5, 2, 1808)
+        for values, want in zip(got, replay_chunk(sparse_topology, P_UE, 5, 2,
+                                                  1808)):
             np.testing.assert_array_equal(values, want)
 
     @pytest.mark.parametrize("topology", ["sparse_topology", "dense_topology"])
@@ -434,19 +430,19 @@ class TestBlockedKernel:
         # float32 sin^2(pi v / 2) lies within 3.5e-7 of float64, relative,
         # at each of the 2^24 values of v, so a link's gain d^-alpha within
         # alpha/2 times that
-        spec = capacity._kernel_spec(request.getfixturevalue(topology), P_UE, 5)
-        i_ue = capacity._simulate_chunk(spec, 2, 1808)[2]
-        want = replay_chunk(spec, 2, 1808, float32_sine=False)[2]
+        topology = request.getfixturevalue(topology)
+        i_ue = capacity._simulate_chunk(topology, P_UE, 5, 2, 1808)[2]
+        want = replay_chunk(topology, P_UE, 5, 2, 1808, float32_sine=False)[2]
         np.testing.assert_allclose(i_ue, want, rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("n", [1, 1808, 8192])
     @pytest.mark.parametrize("rows", [1, 7, 8192])
     def test_output_does_not_depend_on_block_rows(self, sparse_topology,
                                                   monkeypatch, n, rows):
-        spec = capacity._kernel_spec(sparse_topology, P_UE, 5)
-        want = capacity._simulate_chunk(spec, 1, n)
+        want = capacity._simulate_chunk(sparse_topology, P_UE, 5, 1, n)
         monkeypatch.setattr(capacity, "_BLOCK_ROWS", rows)
-        for got, expected in zip(capacity._simulate_chunk(spec, 1, n), want):
+        for got, expected in zip(
+                capacity._simulate_chunk(sparse_topology, P_UE, 5, 1, n), want):
             np.testing.assert_array_equal(got, expected)
 
     #: sha256 of the signal, BS and UE interference bytes per (M, trials).
@@ -488,7 +484,7 @@ class TestBlockedKernel:
                                          m, n):
         # n = 8193 spans two chunks
         topology = sparse_topology if m == 17 else dense_topology
-        assert len(topology.small_cells) == m
+        assert len(topology.centers) == m
         components = simulate_components(topology, P_UE, n, 5)
         got = tuple(hashlib.sha256(values.tobytes()).hexdigest()
                     for values in (components.signal,
@@ -499,17 +495,16 @@ class TestBlockedKernel:
     def test_ue_interference_matches_global_frame_law(self):
         # an independent sample with global-frame angles; the two 1 m disks
         # touch, so the 1 m path-loss clamp acts on ~5% of links
-        tagged = SmallCell((300.0, 0.0), 1.0, 1.0, 3.0)
-        other = SmallCell((302.0, 0.0), 1.0, 1.0, 3.0)
         topology = NetworkTopology(MacroBS((0.0, 0.0), 1.0, 3.0),
-                                   (tagged, other), 2.0, 0, Region(1000.0))
+                                   [(300.0, 0.0), (302.0, 0.0)], 1.0, 1.0, 3.0,
+                                   2.0, 0, Region(1000.0))
         n = 20000
         got = simulate_components(topology, P_UE, n, 3).ue_interference
         rng = np.random.default_rng(4)
-        ux, uy = disk_points_xy(tagged.center, *sample_uniform_disk_batch(
-            tagged.radius, n, rng))
-        ix, iy = disk_points_xy(other.center, *sample_uniform_disk_batch(
-            other.radius, n, rng))
+        ux, uy = disk_points_xy((300.0, 0.0), *sample_uniform_disk_batch(
+            1.0, n, rng))
+        ix, iy = disk_points_xy((302.0, 0.0), *sample_uniform_disk_batch(
+            1.0, n, rng))
         dist = np.hypot(ux - ix, uy - iy)
         assert (dist < 1.0).mean() > 0.03
         want = P_UE * rng.exponential(size=n) * np.maximum(dist, 1.0) ** -3.0
@@ -518,13 +513,12 @@ class TestBlockedKernel:
     def test_chunk_peak_memory(self, dense_topology):
         # a full chunk at M=157 holds per-trial vectors and cache-sized row
         # blocks only: no (trials, cells) array, the uplink uniforms included
-        m = len(dense_topology.small_cells)
+        m = len(dense_topology.centers)
         assert m == 157
-        spec = capacity._kernel_spec(dense_topology, P_UE, 1)
         n = capacity.CHUNK_TRIALS
         tracemalloc.start()
         try:
-            capacity._simulate_chunk(spec, 0, n)
+            capacity._simulate_chunk(dense_topology, P_UE, 1, 0, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -562,7 +556,7 @@ class TestTaggedRadiusStrata:
         tagged = sparse_topology.tagged_cell
         n = capacity.CHUNK_TRIALS + 1808
         simulate_components(sparse_topology, P_UE, n, 3)
-        capacity._lb_signal_draws(tagged, 1808, 3)
+        capacity._lb_signal_draws(sparse_topology, 1808, 3)
         assert [len(r) for r in radii] == [capacity.CHUNK_TRIALS, 1808, 1808]
         for r in (np.concatenate(radii[:2]), radii[2]):
             u = (r / tagged.radius) ** 2

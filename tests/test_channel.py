@@ -1,11 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hetcap import (DuplexConfig, DuplexMode, MacroBS, NetworkTopology,
-                    QoSBoundWarning, QoSConfig, Region, SmallCell,
-                    TrialComponents, ec_from_components,
+                    QoSConfig, Region, TrialComponents, ec_from_components,
                     mean_rate_from_components, path_loss_gain,
                     simulate_components)
 from hetcap.channel import _duplex_terms
@@ -37,9 +37,8 @@ def kernel_fading() -> np.ndarray:
     macro BS, at 500 m with unit power, shows its link's draw scaled by
     500^-3.
     """
-    tagged = SmallCell((500.0, 0.0), 0.0, 1.0, 3.0)
-    topology = NetworkTopology(MacroBS((0.0, 0.0), 1.0, 3.0), (tagged,),
-                               180.0, 0, Region(1000.0))
+    topology = NetworkTopology(MacroBS((0.0, 0.0), 1.0, 3.0), [(500.0, 0.0)],
+                               0.0, 1.0, 3.0, 180.0, 0, Region(1000.0))
     comp = simulate_components(topology, 0.0, 5 * 10**5, 11)
     return np.concatenate([comp.signal, comp.bs_interference * 500.0**3])
 
@@ -189,8 +188,11 @@ class TestQoSConfig:
         qos = QoSConfig(1e-3, 0.5e-3, 180e3)
         assert qos.theta_bound == pytest.approx(1.0 / (90.0 * math.log2(math.e)))
 
-    def test_warns_above_bound_but_constructs(self):
-        with pytest.warns(QoSBoundWarning):
+    def test_constructs_above_bound_without_warning(self):
+        # whether the bound holds depends on the duplex mode, which the
+        # bound's own note reports; the QoS settings alone do not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             qos = QoSConfig(1e-1, 0.5e-3, 180e3)
         assert qos.beta > 1.0
 

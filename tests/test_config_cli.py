@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hetcap import (InvalidTopologyError, ScenarioConfig, ScenarioFormatError,
@@ -133,6 +134,44 @@ class TestTopologyFiles:
         with pytest.raises(ScenarioFormatError, match="missing key"):
             load_topology(str(path))
 
+    HEADER = ("macro_radius_m = 1000\nmacro_power_dbm = 46\nhard_core_m = 180\n"
+              "tagged_index = 0\n")
+
+    @pytest.mark.parametrize("line,message", [
+        ("hard_core_m = 18o", "bad value '18o' for hard_core_m"),
+        ("tagged_index = 0.5", "bad value '0.5' for tagged_index"),
+        ("cell = 0 0 9o 35 3", "bad value '9o' for cell"),
+        ("macro_alpah = 4.0", "unknown key 'macro_alpah'"),
+    ])
+    def test_bad_line_located(self, tmp_path, line, message):
+        path = tmp_path / "topo.txt"
+        path.write_text(self.HEADER + "cell = 0 0 90 35 3\n" + line + "\n")
+        with pytest.raises(ScenarioFormatError) as caught:
+            load_topology(str(path))
+        assert str(caught.value) == f"{path}:6: {message}"
+
+    def test_non_physical_cell_refused(self, tmp_path):
+        path = tmp_path / "topo.txt"
+        path.write_text(self.HEADER + "cell = 0 0 -90 35 3\n")
+        with pytest.raises(InvalidTopologyError,
+                           match="cell 0 radius must be finite and >= 0, got -90.0"):
+            load_topology(str(path))
+
+    def test_mixed_cells_resave_byte_identical(self, tmp_path):
+        path, again = tmp_path / "topo.txt", tmp_path / "again.txt"
+        path.write_text(self.HEADER.replace("= 0\n", "= 1\n")
+                        + "cell = -250.5 10.25 60 30 3.5\n"
+                        + "cell = 120 -80 90 35 3\n"
+                        + "cell = 400 300 45.5 -inf 2.5\n")
+        topology = load_topology(str(path))
+        np.testing.assert_array_equal(topology.radius, [60.0, 90.0, 45.5])
+        np.testing.assert_array_equal(topology.alpha, [3.5, 3.0, 2.5])
+        assert topology.power[2] == 0.0
+        save_topology(topology, str(path))
+        save_topology(load_topology(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
+        assert "cell = 120.0 -80.0 90.0 35.0 3.0\n" in path.read_text()
+
 
 class TestResultEmission:
     def _small_sweep(self, sparse_topology):
@@ -245,7 +284,6 @@ class TestCli:
             "fd: EC(theta=1e-6) = 439.333, mean rate = 439.363 bits/block, "
             "rel diff 6.93e-05\n")
 
-    @pytest.mark.filterwarnings("ignore::hetcap.QoSBoundWarning")
     @pytest.mark.parametrize("mode,status", [
         ("hd", "guarantee bound 1.540e-02 -> ok"),
         ("fd", "guarantee bound 7.702e-03 -> warn: bound exceeded"),

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -18,7 +19,7 @@ from hetcap.geometry import (MAX_PARENTS, _close_pairs, disk_points_xy,
 
 
 def pairwise_min_distance(topology):
-    centers = np.array([c.center for c in topology.small_cells])
+    centers = topology.centers
     diff = centers[:, None, :] - centers[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     dist[np.diag_indices(len(centers))] = np.inf
@@ -30,16 +31,17 @@ class TestMaternSampling:
     def test_hard_core_property(self, density_km2, seed):
         topology = sample_matern_hcpp(Region(1000.0), density_km2 * 1e-6,
                                       180.0, 90.0, seed)
-        if len(topology.small_cells) > 1:
+        if len(topology.centers) > 1:
             assert pairwise_min_distance(topology) >= 180.0
 
     def test_containment(self):
         topology = sample_matern_hcpp(Region(1000.0), 8e-6, 180.0, 90.0, 5)
-        for cell in topology.small_cells:
-            assert math.hypot(*cell.center) + cell.radius <= 1000.0 + 1e-9
+        off = np.hypot(topology.centers[:, 0], topology.centers[:, 1])
+        assert (off + topology.radius <= 1000.0 + 1e-9).all()
 
     def test_zero_density_gives_empty_topology(self):
         topology = sample_matern_hcpp(Region(1000.0), 0.0, 180.0, 90.0, 1)
+        assert topology.centers.shape == (0, 2)
         assert topology.small_cells == ()
         assert topology.tagged_index is None
 
@@ -47,7 +49,7 @@ class TestMaternSampling:
         # Expected retained count = density * macro area = 5*pi = 15.71,
         # within 15% after the type-II thinning and containment correction.
         counts = [len(sample_matern_hcpp(Region(1000.0), 5e-6, 180.0, 90.0,
-                                         seed).small_cells)
+                                         seed).centers)
                   for seed in range(1000)]
         mean = np.mean(counts)
         assert abs(mean - 5 * math.pi) / (5 * math.pi) < 0.15
@@ -55,9 +57,11 @@ class TestMaternSampling:
     def test_determinism(self):
         a = sample_matern_hcpp(Region(1000.0), 5e-6, 180.0, 90.0, 42)
         b = sample_matern_hcpp(Region(1000.0), 5e-6, 180.0, 90.0, 42)
-        assert a == b
+        np.testing.assert_array_equal(a.centers, b.centers)
+        assert (a.tagged_index, a.fingerprint()) == (b.tagged_index,
+                                                     b.fingerprint())
         c = sample_matern_hcpp(Region(1000.0), 5e-6, 180.0, 90.0, 43)
-        assert a != c
+        assert a.fingerprint() != c.fingerprint()
 
     def test_infeasible_region(self):
         with pytest.raises(InfeasibleRegionError):
@@ -67,7 +71,7 @@ class TestMaternSampling:
         with pytest.warns(SaturationWarning):
             topology = sample_matern_hcpp(Region(1000.0), 50e-6, 180.0, 90.0, 1)
         # saturated type-II retention tops out near 1/(pi rh^2) ~ 9.8 /km^2
-        assert 15 <= len(topology.small_cells) <= 35
+        assert 15 <= len(topology.centers) <= 35
         assert pairwise_min_distance(topology) >= 180.0
 
     def test_hard_core_smaller_than_diameter_rejected(self):
@@ -77,7 +81,7 @@ class TestMaternSampling:
     def test_tagged_default_near_mid_radius(self):
         topology = sample_matern_hcpp(Region(1000.0), 5e-6, 180.0, 90.0, 7)
         anchor = np.array([500.0, 0.0])
-        centers = np.array([c.center for c in topology.small_cells])
+        centers = topology.centers
         dist = np.hypot(centers[:, 0] - anchor[0], centers[:, 1] - anchor[1])
         assert topology.tagged_index == int(np.argmin(dist))
 
@@ -105,10 +109,11 @@ class TestUniformDisk:
         assert result.pvalue > 0.01
 
 
-def _ue_interference(tagged: SmallCell, other: SmallCell, trials: int = 3,
+def _ue_interference(centers, radius, alpha=3.0, trials: int = 3,
                      seed: int = 1) -> np.ndarray:
-    topology = NetworkTopology(MacroBS((0.0, 0.0), 39.81, 3.0), (tagged, other),
-                               180.0, 0, Region(1000.0))
+    """UE interference at cell 0's UE from cell 1's, both cells of unit power."""
+    topology = NetworkTopology(MacroBS((0.0, 0.0), 39.81, 3.0), centers, radius,
+                               1.0, alpha, 180.0, 0, Region(1000.0))
     return simulate_components(topology, P_UE, trials, seed).ue_interference
 
 
@@ -117,14 +122,12 @@ class TestInterfererDistance:
 
     def test_both_at_centers(self, fixed_draws):
         # zero-radius cells hold their UEs at the centers, 500 m apart
-        i_ue = _ue_interference(SmallCell((400.0, 0.0), 0.0, 1.0, 3.0),
-                                SmallCell((-100.0, 0.0), 0.0, 1.0, 3.0))
+        i_ue = _ue_interference([(400.0, 0.0), (-100.0, 0.0)], 0.0)
         np.testing.assert_allclose(i_ue, P_UE * 500.0**-3, rtol=1e-12)
 
     def test_collinear_victim_toward_interferer(self, fixed_draws):
         # the tagged UE sits 90 m from its BS toward the interferer's center
-        i_ue = _ue_interference(SmallCell((300.0, 0.0), 180.0, 1.0, 3.0),
-                                SmallCell((300.0, 500.0), 0.0, 1.0, 3.0))
+        i_ue = _ue_interference([(300.0, 0.0), (300.0, 500.0)], [180.0, 0.0])
         np.testing.assert_allclose(i_ue, P_UE * 410.0**-3, rtol=1e-12)
 
     def test_matches_cartesian_oracle(self):
@@ -134,24 +137,23 @@ class TestInterfererDistance:
         # the interferer at the angle the kernel resolves from pi * v, from
         # the ray from its centre toward the tagged UE, and measure every
         # link with hypot on the Cartesian positions
-        tagged = SmallCell((300.0, 0.0), 90.0, 1.0, 3.0)
-        other = SmallCell((-100.0, 200.0), 60.0, 1.0, 3.5)
+        centers = np.array([(300.0, 0.0), (-100.0, 200.0)])
+        radius, alpha = np.array([90.0, 60.0]), np.array([3.0, 3.5])
         n = 1000
-        got = _ue_interference(tagged, other, n, 9)
+        got = _ue_interference(centers, radius, alpha, n, 9)
         rng, u_rng, v_rng, h_rng = (np.random.default_rng(
             np.random.SeedSequence(entropy=9, spawn_key=(0, 0) + k))
             for k in ((), (1,), (2,), (3,)))
-        r_t = tagged.radius * np.sqrt((np.arange(n) % 32 + rng.random(n)) / 32)
+        r_t = radius[0] * np.sqrt((np.arange(n) % 32 + rng.random(n)) / 32)
         th_t = 2.0 * np.pi * rng.random(n)
-        r_i = other.radius * np.sqrt(u_rng.random(n))
+        r_i = radius[1] * np.sqrt(u_rng.random(n))
         t_i = ray_angle(v_rng.random(n, dtype=np.float32))
         h = h_rng.exponential(size=n)
-        ux, uy = disk_points_xy(tagged.center, r_t, th_t)
-        phi = np.arctan2(uy - other.center[1], ux - other.center[0])
-        ix, iy = disk_points_xy(other.center, r_i, phi + t_i)
+        ux, uy = disk_points_xy(centers[0], r_t, th_t)
+        phi = np.arctan2(uy - centers[1, 1], ux - centers[1, 0])
+        ix, iy = disk_points_xy(centers[1], r_i, phi + t_i)
         dist = np.hypot(ux - ix, uy - iy)
-        np.testing.assert_allclose(got, P_UE * h * dist**-other.alpha,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(got, P_UE * h * dist**-alpha[1], rtol=1e-12)
 
 
 class TestTrialDraw:
@@ -214,9 +216,8 @@ class TestDenseOracle:
                 warnings.simplefilter("ignore", SaturationWarning)
                 topology = sample_matern_hcpp(region, density, hard_core,
                                               cell_radius, seed)
-            centers = np.array([c.center for c in topology.small_cells])
             # parents are distinct, so equal retained rows mean equal masks
-            np.testing.assert_array_equal(centers.reshape(-1, 2), pts[keep])
+            np.testing.assert_array_equal(topology.centers, pts[keep])
             kept += keep.sum()
         assert kept > 100
 
@@ -270,51 +271,48 @@ class TestParentCap:
             sample_matern_hcpp(Region(extended - 90.0), 50e-6, 180.0, 90.0, 1)
 
 
-def _lattice_cells(side: int, spacing: float, radius: float = 90.0):
+def _lattice_centers(side: int, spacing: float) -> np.ndarray:
     offsets = spacing * (np.arange(side) - (side - 1) / 2)
-    return [SmallCell((float(x), float(y)), radius, 1.0, 3.0)
-            for x in offsets for y in offsets]
+    return np.array([(x, y) for x in offsets for y in offsets])
 
 
-def _topology(cells, hard_core=180.0, tagged=0, macro_radius=10_000.0):
-    return NetworkTopology(MacroBS((0.0, 0.0), 1.0, 3.0), tuple(cells),
-                           hard_core, tagged, Region(macro_radius))
+def _topology(centers, hard_core=180.0, tagged=0, macro_radius=10_000.0, *,
+              radius=90.0, power=1.0, alpha=3.0, macro=MacroBS((0.0, 0.0), 1.0, 3.0)):
+    return NetworkTopology(macro, centers, radius, power, alpha, hard_core,
+                           tagged, Region(macro_radius))
 
 
 class TestValidate:
     def test_lattice_accepted(self):
-        assert len(_topology(_lattice_cells(45, 200.0)).small_cells) == 2025
+        assert len(_topology(_lattice_centers(45, 200.0)).centers) == 2025
 
     def test_close_pair_far_apart_in_index_order(self):
-        cells = _lattice_cells(45, 200.0)
-        first = cells[0].center
+        centers = _lattice_centers(45, 200.0)
         # the last cell moves to just outside the first, 170 m away
-        cells[-1] = SmallCell((first[0] - 150.0, first[1] - 80.0), 90.0, 1.0, 3.0)
+        centers[-1] = centers[0] - (150.0, 80.0)
         with pytest.raises(InvalidTopologyError,
                            match="min center distance 170.000 m"):
-            _topology(cells)
+            _topology(centers)
 
     def test_hard_core_below_two_largest_radii(self):
         radii = [50.0, 90.0, 30.0, 85.0]
-        cells = [SmallCell((1000.0 * k, 0.0), rad, 1.0, 3.0)
-                 for k, rad in enumerate(radii)]
+        centers = [(1000.0 * k, 0.0) for k in range(len(radii))]
         with pytest.raises(InvalidTopologyError, match="pair of cell radii"):
-            _topology(cells, hard_core=174.0)
+            _topology(centers, hard_core=174.0, radius=radii)
         # the two largest radii, not twice the largest, set the floor
-        assert _topology(cells, hard_core=175.0).hard_core_distance == 175.0
+        assert _topology(centers, hard_core=175.0,
+                         radius=radii).hard_core_distance == 175.0
 
     def test_disk_crossing_macro_boundary(self):
-        cells = [SmallCell((0.0, 0.0), 90.0, 1.0, 3.0),
-                 SmallCell((920.0, 0.0), 90.0, 1.0, 3.0)]
+        centers = [(0.0, 0.0), (920.0, 0.0)]
         with pytest.raises(InvalidTopologyError, match="macro boundary"):
-            _topology(cells, macro_radius=1000.0)
-        assert _topology(cells, macro_radius=1010.0)
+            _topology(centers, macro_radius=1000.0)
+        assert _topology(centers, macro_radius=1010.0)
 
     @pytest.mark.parametrize("tagged", [None, -1, 2])
     def test_bad_tagged_index(self, tagged):
-        cells = _lattice_cells(2, 200.0)[:2]
         with pytest.raises(InvalidTopologyError, match="tagged_index"):
-            _topology(cells, tagged=tagged)
+            _topology(_lattice_centers(2, 200.0)[:2], tagged=tagged)
 
     def test_tagged_index_on_empty_deployment(self):
         with pytest.raises(InvalidTopologyError, match="empty deployment"):
@@ -323,19 +321,107 @@ class TestValidate:
     @pytest.mark.parametrize("other", [(180.0, 0.0), (108.0, 144.0),
                                        (180.0 - 5e-10, 0.0)])
     def test_pair_at_hard_core_accepted(self, other):
-        cells = [SmallCell((0.0, 0.0), 90.0, 1.0, 3.0),
-                 SmallCell(other, 90.0, 1.0, 3.0)]
-        assert _topology(cells).hard_core_distance == 180.0
+        assert _topology([(0.0, 0.0), other]).hard_core_distance == 180.0
 
     def test_pair_past_tolerance_rejected(self):
-        cells = [SmallCell((0.0, 0.0), 90.0, 1.0, 3.0),
-                 SmallCell((180.0 - 1e-6, 0.0), 90.0, 1.0, 3.0)]
         with pytest.raises(InvalidTopologyError, match="violates hard core"):
-            _topology(cells)
+            _topology([(0.0, 0.0), (180.0 - 1e-6, 0.0)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_center(self, bad):
-        cells = [SmallCell((0.0, 0.0), 90.0, 1.0, 3.0),
-                 SmallCell((bad, 0.0), 90.0, 1.0, 3.0)]
         with pytest.raises(InvalidTopologyError, match="not finite"):
-            _topology(cells)
+            _topology([(0.0, 0.0), (bad, 0.0)])
+
+    @pytest.mark.parametrize("field,value", [
+        ("radius", -90.0), ("radius", math.nan), ("power", math.nan),
+        ("power", -1.0), ("power", math.inf), ("alpha", -3.0),
+        ("alpha", math.inf)])
+    def test_non_physical_cell_rejected(self, field, value):
+        with pytest.raises(InvalidTopologyError,
+                           match=f"cell 1 {field} must be finite and >= 0, "
+                                 f"got {value}"):
+            _topology([(0.0, 0.0), (500.0, 0.0)], **{field: [90.0, value]})
+
+    @pytest.mark.parametrize("macro,message", [
+        (MacroBS((0.0, 0.0), math.nan, 3.0), "macro power .* got nan"),
+        (MacroBS((0.0, 0.0), 1.0, -3.0), "macro alpha .* got -3.0"),
+    ])
+    def test_non_physical_macro_rejected(self, macro, message):
+        with pytest.raises(InvalidTopologyError, match=message):
+            _topology([(500.0, 0.0)], macro=macro)
+        with pytest.raises(InvalidTopologyError, match=message):
+            _topology([], tagged=None, macro=macro)
+
+    def test_point_cells_and_silent_transmitters_accepted(self):
+        # fixtures use zero-radius cells; -inf dBm loads as 0 W
+        topology = _topology([(0.0, 0.0), (500.0, 0.0)], radius=0.0,
+                             power=[0.0, 1.0])
+        np.testing.assert_array_equal(topology.radius, [0.0, 0.0])
+
+
+class TestArrayModel:
+    """Cells as read-only arrays; records derived from them."""
+
+    def test_scalars_broadcast_to_every_cell(self):
+        topology = _topology([(0.0, 0.0), (500.0, 0.0)], radius=[90.0, 60.0],
+                             power=2.0)
+        assert topology.centers.shape == (2, 2)
+        for values, want in ((topology.radius, [90.0, 60.0]),
+                             (topology.power, [2.0, 2.0]),
+                             (topology.alpha, [3.0, 3.0])):
+            assert values.dtype == np.float64
+            np.testing.assert_array_equal(values, want)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(InvalidTopologyError, match="shape"):
+            _topology([(0.0, 0.0, 0.0), (500.0, 0.0, 0.0)])
+        with pytest.raises(ValueError):
+            _topology([(0.0, 0.0, 0.0)])
+        with pytest.raises(ValueError):
+            _topology([(0.0, 0.0), (500.0, 0.0)], radius=[90.0, 90.0, 90.0])
+
+    def test_arrays_are_read_only(self, sparse_topology):
+        bs_xy, bs_power, bs_alpha = sparse_topology.interfering_bs
+        for values in (sparse_topology.centers, sparse_topology.radius,
+                       sparse_topology.power, sparse_topology.alpha,
+                       sparse_topology.others, bs_xy, bs_power, bs_alpha):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+
+    def test_input_arrays_are_copied(self):
+        centers, radius = np.array([(0.0, 0.0), (500.0, 0.0)]), np.full(2, 90.0)
+        topology = _topology(centers, radius=radius)
+        centers[1] = (100.0, 0.0)
+        radius[:] = 1.0
+        assert topology.centers[1, 0] == 500.0 and topology.radius[0] == 90.0
+
+    def test_interferers_are_macro_then_other_cells_in_index_order(self):
+        centers = [(0.0, 500.0), (500.0, 0.0), (-500.0, 0.0)]
+        topology = _topology(centers, tagged=1, power=[1.0, 2.0, 3.0],
+                             macro=MacroBS((0.0, 0.0), 40.0, 3.5))
+        np.testing.assert_array_equal(topology.others, [0, 2])
+        bs_xy, bs_power, bs_alpha = topology.interfering_bs
+        np.testing.assert_array_equal(bs_xy, [(0.0, 0.0), (0.0, 500.0),
+                                              (-500.0, 0.0)])
+        np.testing.assert_array_equal(bs_power, [40.0, 1.0, 3.0])
+        np.testing.assert_array_equal(bs_alpha, [3.5, 3.0, 3.0])
+
+    def test_records_derive_from_arrays(self, sparse_topology):
+        t = sparse_topology.tagged_index
+        cells = sparse_topology.small_cells
+        assert len(cells) == len(sparse_topology.centers)
+        assert cells[t] == sparse_topology.tagged_cell
+        assert cells[t] == SmallCell(tuple(sparse_topology.centers[t]), 90.0,
+                                     sparse_topology.power[t], 3.0)
+        assert type(cells[t].radius) is float
+
+    def test_empty_topology_has_no_tagged_cell(self):
+        empty = _topology([], tagged=None)
+        for read in (lambda: empty.tagged_cell, lambda: empty.others):
+            with pytest.raises(InvalidTopologyError, match="no tagged cell"):
+                read()
+
+    def test_pickle_keeps_fingerprint(self, sparse_topology):
+        clone = pickle.loads(pickle.dumps(sparse_topology))
+        assert clone.fingerprint() == sparse_topology.fingerprint()
+        np.testing.assert_array_equal(clone.centers, sparse_topology.centers)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from hetcap import (DuplexConfig, DuplexMode, MacroBS, NetworkTopology,
-                    QuadratureDomainError, Region, SmallCell,
-                    TaylorAccuracyWarning, TaylorValidityError, dbm_to_watts,
-                    mean_interference_bs_ue, mean_interference_ue_ue,
-                    mean_pathloss_numeric, mean_pathloss_taylor,
-                    total_mean_interference)
+                    QuadratureDomainError, Region, TaylorAccuracyWarning,
+                    TaylorValidityError, dbm_to_watts, mean_interference_bs_ue,
+                    mean_interference_ue_ue, mean_pathloss_numeric,
+                    mean_pathloss_taylor, total_mean_interference)
 
 P_UE = 0.2
 
@@ -246,15 +245,11 @@ class TestTotalMeanInterference:
         duplex = DuplexConfig(DuplexMode.FD, 0.0, 1.0, P_UE)
         base = total_mean_interference(two_cell_topology, duplex)
         k = 3.0
-        scaled_cells = tuple(
-            SmallCell(c.center, c.radius, k * c.power, c.alpha)
-            for c in two_cell_topology.small_cells)
+        t = two_cell_topology
         scaled = NetworkTopology(
-            MacroBS(two_cell_topology.macro_bs.position,
-                    k * two_cell_topology.macro_bs.power,
-                    two_cell_topology.macro_bs.alpha),
-            scaled_cells, two_cell_topology.hard_core_distance,
-            two_cell_topology.tagged_index, two_cell_topology.region)
+            MacroBS(t.macro_bs.position, k * t.macro_bs.power, t.macro_bs.alpha),
+            t.centers, t.radius, k * t.power, t.alpha, t.hard_core_distance,
+            t.tagged_index, t.region)
         scaled_duplex = DuplexConfig(DuplexMode.FD, 0.0, 1.0, k * P_UE)
         got = total_mean_interference(scaled, scaled_duplex)
         for (_, a), (_, b) in zip(base.per_bs + base.per_ue,
@@ -262,9 +257,8 @@ class TestTotalMeanInterference:
             assert b == pytest.approx(k * a, rel=1e-12)
 
     def test_macro_inside_tagged_disk_raises(self):
-        tagged = SmallCell((50.0, 0.0), 90.0, 3.1623, 3.0)
-        topology = NetworkTopology(MacroBS((0.0, 0.0), 39.8, 3.0), (tagged,),
-                                   180.0, 0, Region(1000.0))
+        topology = NetworkTopology(MacroBS((0.0, 0.0), 39.8, 3.0), [(50.0, 0.0)],
+                                   90.0, 3.1623, 3.0, 180.0, 0, Region(1000.0))
         with pytest.raises(TaylorValidityError, match="macro"):
             total_mean_interference(topology,
                                     DuplexConfig(DuplexMode.FD, 0.0, 1.0, P_UE))
