@@ -2,7 +2,10 @@
 
 A ``NetworkTopology`` holds its M cells as read-only arrays ``centers``
 (M, 2), ``radius``, ``power`` and ``alpha`` (M,), built once by its one
-constructor; ``SmallCell`` records are derived from them for display only.
+constructor, which pickling also goes through; ``SmallCell`` records are
+derived from them for display only. One numpy grid pair search finds the
+point pairs closer than the hard core, for Matern thinning and for
+validation; the module needs numpy alone.
 
 Distances are in meters and powers in watts throughout. Polar angles are
 radians in [0, 2*pi) against the global +x axis, so an absolute position is
@@ -18,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 # Parent intensity cap used when the requested density sits above the
 # hard-core saturation limit (retention probability ~ 99.9% saturated).
@@ -111,6 +113,14 @@ class NetworkTopology:
                 np.asarray(getattr(self, name), dtype=float), len(centers)))))
         self.validate()
 
+    def __reduce__(self):
+        """Pickle as a constructor call on the arrays and scalars: a copy
+        comes back validated and read-only at any protocol, and the cached
+        views (``others``, ``interfering_bs``, ``small_cells``) stay behind."""
+        return (NetworkTopology, (self.macro_bs, self.centers, self.radius, self.power,
+                                  self.alpha, self.hard_core_distance,
+                                  self.tagged_index, self.region))
+
     def validate(self) -> None:
         n = len(self.centers)
         # radius and power 0 are valid: a point cell, a silent transmitter
@@ -196,24 +206,122 @@ class NetworkTopology:
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
+#: Candidate pairs ``_close_pair_blocks`` tests per block; bounds its
+#: temporaries. Fewer points than make this many pairs skip the grid.
+_PAIR_BLOCK = 1 << 12
+
+
+def _dense_rank(values: np.ndarray) -> np.ndarray:
+    """Rank of each value among the distinct values, from 0.
+
+    ``np.unique(values, return_inverse=True)[1]`` without its fixed cost,
+    which dominates ``validate`` on a few hundred cells.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    rank = np.empty(len(values), dtype=np.intp)
+    rank[order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
+    return rank
+
+
+def _close_pair_blocks(points: np.ndarray, distance: float):
+    """Yield index arrays (i, j) of the pairs with dx^2 + dy^2 < distance^2.
+
+    Each unordered pair comes once, in no particular orientation. Up to
+    ``_PAIR_BLOCK`` pairs in all, every pair is tested. Beyond that, a
+    uniform grid (cell list) over the ranks of the occupied cells: points
+    are binned into square cells of side ``distance`` padded by 1e-9
+    relative, plus the rounding of coord/side at the largest coordinate, so
+    the cell indices are exact integers below 2^51 and a close pair lies in
+    one cell or in two adjacent ones. Adjacent cells have adjacent ranks on
+    each axis, and ranks keep the keys below n^2 whatever the extent. With
+    the points sorted by key, each point is paired with the later points of
+    its own cell and of the next cell up, and with every point of the three
+    cells (x+1, y-1..y+1), which sort contiguously. Either way the exact
+    strict test decides, so a pair at the boundary resolves as an all-pairs
+    ``d2 < distance**2`` would. Cells go in blocks of about ``_PAIR_BLOCK``
+    candidate pairs, so apart from the pairs found, memory is linear in the
+    points whatever their extent.
+    """
+    n = len(points)
+    if n < 2 or not distance > 0:
+        return
+    if n * (n - 1) // 2 <= _PAIR_BLOCK:
+        i, j = np.triu_indices(n, 1)
+        yield _closer_than(points[:, 0], points[:, 1], i, j, distance)
+        return
+    side = distance * (1.0 + 1e-9) + float(np.abs(points).max()) * 2.0**-51
+    row = _dense_rank(np.floor(points[:, 1] / side)) + 1
+    stride = int(row.max()) + 2        # rows 0 and max + 1 stay empty
+    key = _dense_rank(np.floor(points[:, 0] / side))
+    key *= stride
+    key += row
+    del row                 # per-point temporaries go early: bytes per parent
+    order = np.argsort(key)
+    key = key[order]
+    x, y = points[order, 0], points[order, 1]       # in cell order
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    cell_key = key[starts]
+    del key
+    bounds = np.append(starts, n)
+    # own cell and the next one up: up to the end of cell c or c + 1
+    own_end = bounds[1:].copy()
+    up = np.flatnonzero(cell_key[1:] == cell_key[:-1] + 1)
+    own_end[up] = bounds[up + 2]
+    # the next column's three cells y-1..y+1
+    side_lo = bounds[np.searchsorted(cell_key, cell_key + stride - 1)]
+    side_hi = bounds[np.searchsorted(cell_key, cell_key + stride + 1, "right")]
+    del cell_key
+    sizes = np.diff(bounds)
+    candidates = np.cumsum(sizes * (sizes - 1) // 2
+                           + sizes * (own_end - bounds[1:] + side_hi - side_lo))
+    first = 0
+    while first < len(starts):
+        done = candidates[first - 1] if first else 0
+        last = max(int(np.searchsorted(candidates, done + _PAIR_BLOCK, "right")),
+                   first + 1)
+        source = np.arange(starts[first], bounds[last])
+        cell = np.repeat(np.arange(first, last), sizes[first:last])
+        lo = np.column_stack((source + 1, side_lo[cell]))
+        length = np.column_stack((own_end[cell], side_hi[cell]))
+        del cell
+        length -= lo
+        length = length.ravel()
+        offset = np.cumsum(length)
+        offset -= length
+        i = np.repeat(source, length.reshape(-1, 2).sum(axis=1))
+        j = np.repeat(lo.ravel() - offset, length)
+        del source, lo, length, offset
+        j += np.arange(len(j))
+        i, j = _closer_than(x, y, i, j, distance)
+        yield order[i], order[j]
+        first = last
+
+
+def _closer_than(x: np.ndarray, y: np.ndarray, i: np.ndarray, j: np.ndarray,
+                 distance: float) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j) with dx^2 + dy^2 < distance^2."""
+    dx = x[i] - x[j]
+    dx *= dx
+    dy = y[i] - y[j]
+    dy *= dy
+    dx += dy
+    close = dx < distance**2
+    return i[close], j[close]
+
+
 def _close_pairs(points: np.ndarray,
                  distance: float) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (i, j), i < j, of the point pairs with dx^2 + dy^2 < distance^2.
 
-    A KD-tree finds candidates on a ball padded by 1e-9 relative, since its
-    own distance rounding may differ; the exact strict test then decides, so
-    a pair at the boundary resolves as an all-pairs ``d2 < distance**2`` would.
+    All blocks of ``_close_pair_blocks`` at once; see there for the search.
     """
-    if len(points) < 2 or not distance > 0:
+    blocks = list(_close_pair_blocks(points, distance))
+    if not blocks:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
-    pairs = cKDTree(points).query_pairs(distance * (1.0 + 1e-9),
-                                        output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    dx = points[i, 0] - points[j, 0]
-    dy = points[i, 1] - points[j, 1]
-    close = dx * dx + dy * dy < distance**2
-    return i[close], j[close]
+    i, j = (np.concatenate(side) for side in zip(*blocks))
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 def sample_uniform_disk_batch(
@@ -285,13 +393,14 @@ def sample_matern_hcpp(
     1/(pi*hard_core^2) raises ``SaturationWarning`` and delivers the
     saturated process instead.
 
-    Thinning finds rivals with one KD-tree pair search, so time is
-    O(parents log parents) and memory is linear in parents: measured peaks
-    of ~270 bytes per parent at the saturation intensity and ~750 at the
-    highest parent intensity the solver returns (~28/(pi*hard_core^2)),
-    retained cells included. A request whose expected parent count
-    exceeds ``MAX_PARENTS`` (1e6, so at most ~0.75 GB) raises
-    ``RegionTooLargeError`` before any draw.
+    Thinning finds rivals with one grid pair search (``_close_pair_blocks``)
+    and takes the rival minimum block by block, so time is
+    O(parents log parents) and memory is linear in parents: traced peaks
+    of ~120-180 bytes per parent, from the saturation intensity (~3.5k and
+    ~31k parents) to the highest parent intensity the solver returns
+    (~28/(pi*hard_core^2)), retained cells included. A request whose
+    expected parent count exceeds ``MAX_PARENTS`` (1e6, so at most
+    ~0.2 GB) raises ``RegionTooLargeError`` before any draw.
 
     Deterministic for a fixed seed.
     """
@@ -344,10 +453,10 @@ def sample_matern_hcpp(
     pts = np.column_stack([x, y])
     # type II: a parent survives when its mark is below every rival's mark
     # within the hard core
-    i, j = _close_pairs(pts, hard_core)
     rival = np.full(n_parent, np.inf)
-    np.minimum.at(rival, i, marks[j])
-    np.minimum.at(rival, j, marks[i])
+    for i, j in _close_pair_blocks(pts, hard_core):
+        np.minimum.at(rival, i, marks[j])
+        np.minimum.at(rival, j, marks[i])
     centers = pts[(marks < rival) & (r <= eligible)]
     tagged = default_tagged_index(centers, region) if len(centers) else None
     return NetworkTopology(macro, centers, cell_radius, cell_power, alpha,

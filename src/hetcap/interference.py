@@ -1,18 +1,19 @@
 """Disk-averaged mean interference: exact forms, the paper's series, an oracle.
 
-The mean of d^-alpha from a point to a victim uniform in a disk of radius R
-at range d > R is exactly d^-alpha * 2F1(alpha/2, alpha/2; 2; R^2/d^2) (DLMF
-15.2.1: average the circle mean over the radial density). When both
-terminals are uniform in disks of radii R_i and R_v, the mean is the power
-series d^-alpha * sum_n ((alpha/2)_n / n!)^2 E|X - Y|^2n / d^2n in the
-moments of the difference of the two positions; it converges for
-d > R_i + R_v. These two forms give the mean interference the Jensen bound
-needs.
+When terminals are uniform in disks of radii R_i and R_v with centers d
+apart, the mean of d^-alpha is the power series
+d^-alpha * sum_n ((alpha/2)_n / n!)^2 E|X - Y|^2n / d^2n in the moments of
+the difference of the two positions; it converges for d > R_i + R_v. A
+point interferer is R_i = 0, where the series is exactly
+d^-alpha * 2F1(alpha/2, alpha/2; 2; R_v^2/d^2) (DLMF 15.2.1: average the
+circle mean over the radial density). This one series gives every mean
+interference term the Jensen bound needs, base station and uplink UE alike,
+with numpy alone; its term cap makes both raise within ~0.1% of touching.
 
 ``mean_pathloss_taylor`` keeps the paper's three-term truncation of the
-first form as the reproduced formula; it underestimates the mean. The
+2F1 form as the reproduced formula; it underestimates the mean. The
 quadrature oracle evaluates the disk average directly and is independent of
-both.
+the series; it alone needs scipy.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .channel import DuplexConfig, _duplex_terms
 from .geometry import NetworkTopology
@@ -92,30 +92,23 @@ def mean_pathloss_numeric(d: float, cell_radius: float, alpha: float) -> float:
     return value / (np.pi * cell_radius**2)
 
 
-#: Hard cap on the disk-to-disk series length, reached only for disks within
-#: ~0.1% of touching (the hard core allows touching; sampling rarely comes
-#: that close).
+#: Hard cap on the series length, reached only for disks within ~0.1% of
+#: touching, or a point within ~0.1% of a disk's edge (the hard core allows
+#: touching; sampling rarely comes that close).
 MAX_SERIES_TERMS = 1 << 15
 #: Series truncation target, relative to the leading term.
 _SERIES_TAIL = 1e-17
-#: Terms evaluated per pass over the cells, to bound memory near touching.
-_SERIES_BLOCK = 256
+#: Largest pairs x terms evaluated as plain powers; beyond it the powers
+#: split into baby and giant steps, 2*sqrt(terms) per pair.
+_ONE_STEP = 1024
+_EXPONENTS = np.arange(float(_ONE_STEP))[:, None]
 _TINY = np.finfo(float).tiny
-
-
-def _disk_pathloss(d, r_victim, alpha) -> np.ndarray:
-    """Exact mean of d^-alpha from a point to a uniform disk, elementwise."""
-    d, r_victim, alpha = (np.asarray(v, dtype=float) for v in (d, r_victim, alpha))
-    if (d <= r_victim).any():
-        raise TaylorValidityError(
-            f"point-to-disk mean needs separation d > disk radius; got "
-            f"d={d.min():.6g}, R={r_victim.max():.6g}")
-    a = alpha / 2.0
-    return d ** -alpha * special.hyp2f1(a, a, 2.0, (r_victim / d) ** 2)
+_LOG_TAIL, _LOG_CAP = math.log(_SERIES_TAIL), math.log(MAX_SERIES_TERMS)
 
 
 @functools.lru_cache(maxsize=16)
-def _series_coefficients(share: float, alpha: float, count: int) -> np.ndarray:
+def _series_coefficients(share: float, alpha: float, count: int,
+                         step: int) -> np.ndarray:
     """c_n mu_n, n < count, of the disk-to-disk series; see ``_disk_pair_pathloss``.
 
     ``share`` is R_i/(R_i+R_v). mu_n = E(|X - Y|/(R_i+R_v))^2n for X and Y
@@ -123,7 +116,9 @@ def _series_coefficients(share: float, alpha: float, count: int) -> np.ndarray:
     rotation-invariant terms gives sum_j C(n,j)^2 p^j/(j+1) q^(n-j)/(n-j+1)
     with p = share^2, q = (1-share)^2, a Jacobi polynomial in disguise. Its
     three-term recurrence is forward-stable for this dominant solution.
-    Cached: a sweep asks for the same few vectors at every grid point.
+    Returned zero-padded as a (ceil(count/step), step) table, row j holding
+    terms j*step to j*step + step - 1, for ``_power_series``.
+    Cached: a sweep asks for the same few tables at every grid point.
     """
     p, q = share**2, (1.0 - share) ** 2
     mu = [1.0, (p + q) / 2.0]
@@ -131,55 +126,110 @@ def _series_coefficients(share: float, alpha: float, count: int) -> np.ndarray:
         mu.append(((2 * n + 1) * n * (p + q) * mu[-1]
                    - (n - 1) ** 2 * (q - p) ** 2 * mu[-2]) / ((n + 1) * (n + 2)))
     n = np.arange(1, count)
-    coef = np.cumprod(np.concatenate(([1.0], ((alpha / 2.0 + n - 1.0) / n) ** 2)))
-    coef *= mu[:count]
-    coef.flags.writeable = False
-    return coef
+    table = np.zeros(-(-count // step) * step)
+    ratio = ((alpha / 2.0 + n - 1.0) / n) ** 2
+    table[:count] = np.cumprod(np.concatenate(([1.0], ratio)))
+    table[:count] *= mu[:count]
+    table = table.reshape(-1, step)
+    table.flags.writeable = False
+    return table
+
+
+def _power_series(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_n c_n x^n per element of x, with c_n in a ``_series_coefficients`` table.
+
+    A (g, s) table takes baby steps x^0..x^(s-1) and, when g > 1, giant
+    steps x^(js): s + g powers per element rather than s*g. All terms are
+    positive, so the regrouped sum is as accurate as the plain one.
+    """
+    rows, step = table.shape
+    sums = table @ x ** _EXPONENTS[:step]
+    if rows == 1:
+        return sums[0]
+    return np.einsum("jm,jm->m", sums, x ** (step * _EXPONENTS[:rows]))
+
+
+def _term_count(x: float, alpha: float) -> int:
+    """Terms after which the series' tail is below ``_SERIES_TAIL``, for x < 1.
+
+    c_n mu_n <= (n+1)^max(alpha-2, 0), so the tail after N terms is below
+    (N+1)^max(alpha-2, 0) x^N/(1-x); bound N+1 by MAX_SERIES_TERMS in the
+    power. The floor on x keeps two point terminals (x = 0) at two terms.
+    Increasing in x.
+    """
+    return 1 + math.ceil((_LOG_TAIL + math.log1p(-x) - max(alpha - 2.0, 0.0) * _LOG_CAP)
+                         / math.log(max(x, _TINY)))
+
+
+def _domain_error(d: float, reach: float, alpha: float) -> TaylorValidityError:
+    """The error for a pair at separation d whose series cannot be summed."""
+    if not d > reach:
+        return TaylorValidityError(
+            f"mean needs separation d > R_i + R_v; got d={d:.6g}, "
+            f"R_i + R_v={reach:.6g}")
+    return TaylorValidityError(
+        f"disks at d={d:.6g} m with R_i + R_v={reach:.6g} m are too close to "
+        f"touching: the series needs {_term_count((reach / d) ** 2, alpha)} terms "
+        f"(cap {MAX_SERIES_TERMS})")
+
+
+def _groups(r_interferer: np.ndarray, alpha: np.ndarray):
+    """(index set, R_i, alpha) per distinct (R_i, alpha) pair, members in index order.
+
+    One group, the common case, comes back as ``slice(None)``.
+    """
+    order = np.lexsort((alpha, r_interferer))
+    first, last = order[0], order[-1]
+    if r_interferer[first] == r_interferer[last] and alpha[first] == alpha[last]:
+        return [(slice(None), float(r_interferer[first]), float(alpha[first]))]
+    r_sorted, alpha_sorted = r_interferer[order], alpha[order]
+    edges = ((r_sorted[1:] != r_sorted[:-1])
+             | (alpha_sorted[1:] != alpha_sorted[:-1])).nonzero()[0] + 1
+    return [(order[lo:hi], float(r_sorted[lo]), float(alpha_sorted[lo]))
+            for lo, hi in zip([0, *edges.tolist()], [*edges.tolist(), len(order)])]
+
+
+def _group_series(d: np.ndarray, reach: float, share: float,
+                  alpha: float) -> np.ndarray:
+    """sum_n c_n mu_n x^n for pairs of one (R_i, alpha); ``reach`` is R_i + R_v."""
+    x = reach / d
+    x *= x                    # for d > 0, x >= 1 exactly when d <= R_i + R_v
+    x_max = float(x.max())                            # nan if any is nan
+    count = _term_count(x_max, alpha) if x_max < 1.0 else MAX_SERIES_TERMS + 1
+    if count > MAX_SERIES_TERMS:
+        raise _domain_error(float(d[x.argmax()]), reach, alpha)
+    # all terms in one step while that is small, else sqrt(count) steps
+    step = count if len(x) * count <= _ONE_STEP else math.isqrt(count - 1) + 1
+    return _power_series(x, _series_coefficients(share, alpha, count, step))
 
 
 def _disk_pair_pathloss(d: np.ndarray, r_interferer: np.ndarray,
                         r_victim: float, alpha: np.ndarray) -> np.ndarray:
-    """Exact mean of d^-alpha between uniform disks, for 1-D arrays of pairs.
+    """Exact mean of d^-alpha between uniform disks, for 1-D arrays of pairs, d > 0.
 
     Sums d^-alpha sum_n c_n mu_n x^n with c_n = ((alpha/2)_n/n!)^2, mu_n the
     normalised moments of ``_series_coefficients`` and x = ((R_i+R_v)/d)^2.
-    Every term is positive; the term count adapts per pair to x, so close
-    pairs do not slow the distant ones.
+    R_i = 0 is a point interferer: then mu_n = 1/(n+1) and the sum is
+    d^-alpha 2F1(alpha/2, alpha/2; 2; R_v^2/d^2), the point-to-disk mean.
+    Every term is positive. Pairs with equal (R_i, alpha) share one
+    coefficient table, with as many terms as their largest x needs.
     """
-    reach = r_interferer + r_victim
-    if (d <= reach).any():
-        k = int(np.argmax(reach - d))
-        raise TaylorValidityError(
-            f"disk-to-disk mean needs separation d > R_i + R_v; got d={d[k]:.6g}, "
-            f"R_i + R_v={reach[k]:.6g}")
-    x = (reach / d) ** 2
-    # c_n mu_n <= (n+1)^max(alpha-2, 0), so the tail after N terms is below
-    # (N+1)^max(alpha-2, 0) x^N/(1-x); bound N+1 by MAX_SERIES_TERMS in the
-    # power. The floor on x keeps two point terminals (x = 0) at one term.
-    counts = 1 + np.ceil(
-        (math.log(_SERIES_TAIL) + np.log1p(-x)
-         - np.maximum(alpha - 2.0, 0.0) * math.log(MAX_SERIES_TERMS))
-        / np.log(np.maximum(x, _TINY))).astype(np.intp)
-    if counts.max() > MAX_SERIES_TERMS:
-        k = int(np.argmax(counts))
-        raise TaylorValidityError(
-            f"disks at d={d[k]:.6g} m with R_i + R_v={reach[k]:.6g} m are too "
-            f"close to touching: the series needs {counts[k]} terms "
-            f"(cap {MAX_SERIES_TERMS})")
-    groups: dict[tuple[float, float], list[int]] = {}
-    for k, key in enumerate(zip(r_interferer.tolist(), alpha.tolist())):
-        groups.setdefault(key, []).append(k)
-    series = np.zeros_like(d)
-    for (r_i, alpha_k), members in groups.items():
-        members = np.array(members)
-        count = int(counts[members].max())
-        share = r_i / (r_i + r_victim) if r_i + r_victim > 0 else 0.0
-        coef = _series_coefficients(share, alpha_k, count)
-        for start in range(0, count, _SERIES_BLOCK):
-            live = members[counts[members] > start]
-            stop = min(start + _SERIES_BLOCK, count)
-            series[live] += (x[live, None] ** np.arange(start, stop)) @ coef[start:stop]
-    return d ** -alpha * series
+    series = np.empty_like(d)
+    for members, r_i, alpha_k in _groups(r_interferer, alpha):
+        reach = r_i + r_victim
+        series[members] = _group_series(d[members], reach,
+                                        r_i / reach if reach > 0 else 0.0, alpha_k)
+    series /= d ** alpha
+    return series
+
+
+def _pair_mean(d: float, r_interferer: float, r_victim: float, alpha: float) -> float:
+    """``_disk_pair_pathloss`` of one pair, for any d."""
+    if not d > r_interferer + r_victim:
+        raise _domain_error(d, r_interferer + r_victim, alpha)
+    return float(_disk_pair_pathloss(
+        np.array([d], dtype=float), np.array([r_interferer], dtype=float),
+        float(r_victim), np.array([alpha], dtype=float))[0])
 
 
 def mean_interference_bs_ue(p_bs: float, d: float, r_victim: float,
@@ -187,12 +237,16 @@ def mean_interference_bs_ue(p_bs: float, d: float, r_victim: float,
     """Mean interference a BS at range d causes to a UE uniform in its disk.
 
     Unit-mean fading drops out, so this is transmit power times the exact
-    disk-averaged path loss d^-alpha 2F1(alpha/2, alpha/2; 2; R^2/d^2).
-    Raises ``TaylorValidityError`` unless d > R.
+    disk-averaged path loss d^-alpha 2F1(alpha/2, alpha/2; 2; R^2/d^2),
+    summed as the disk-to-disk series with a point interferer. Raises
+    ``TaylorValidityError`` unless d > R, or when the UE disk reaches to
+    within ~0.1% of the BS (d/R below ~1.0007 at alpha = 2, ~1.00085 at 3,
+    ~1.001 at 4), where the series would exceed ``MAX_SERIES_TERMS`` terms.
+    From d/R = 1.002 on it agrees with a 30-digit 2F1 to 2.3e-13.
     """
     if p_bs < 0:
         raise ValueError("p_bs must be >= 0")
-    return p_bs * float(_disk_pathloss(d, r_victim, alpha))
+    return p_bs * _pair_mean(d, 0.0, r_victim, alpha)
 
 
 def mean_interference_ue_ue(p_ue: float, d: float, r_interferer: float,
@@ -206,9 +260,7 @@ def mean_interference_ue_ue(p_ue: float, d: float, r_interferer: float,
     """
     if p_ue < 0:
         raise ValueError("p_ue must be >= 0")
-    return p_ue * float(_disk_pair_pathloss(
-        np.array([d], dtype=float), np.array([r_interferer], dtype=float),
-        float(r_victim), np.array([alpha], dtype=float))[0])
+    return p_ue * _pair_mean(d, r_interferer, r_victim, alpha)
 
 
 @dataclass(frozen=True)
@@ -224,7 +276,7 @@ class MeanInterferenceBreakdown:
     total: float
 
     def __post_init__(self) -> None:
-        parts = [w for _, w in self.per_bs] + [w for _, w in self.per_ue]
+        parts = [w for _, w in self.per_bs + self.per_ue]
         if any(w < 0 for w in parts):
             raise ValueError("negative mean interference entry")
         if abs(self.total - sum(parts)) > 1e-9 * max(self.total, 1e-300):
@@ -239,29 +291,31 @@ def total_mean_interference(topology: NetworkTopology,
     duplex every non-tagged small cell also contributes one uplink UE at
     ``duplex.ue_tx_power``. The macro-attached UE is scheduled on other
     resources and never contributes. All terms are exact means, evaluated
-    for all cells at once. Raises ``TaylorValidityError`` when the macro BS
-    sits inside the tagged disk (re-draw or re-tag the topology rather than
-    accept a corrupted bound), or, in full duplex, when a cell is within
-    ~0.1% of touching the tagged disk (see ``mean_interference_ue_ue``).
+    for all cells in one ``_disk_pair_pathloss`` call. Raises
+    ``TaylorValidityError`` when the macro BS sits inside the tagged disk
+    (re-draw or re-tag the topology rather than accept a corrupted bound) or
+    within ~0.1% of its edge (see ``mean_interference_bs_ue``), or, in full
+    duplex, when a cell is within ~0.1% of touching the tagged disk (see
+    ``mean_interference_ue_ue``).
     """
     t = topology._tagged()
-    (cx, cy), r_t = topology.centers[t].tolist(), float(topology.radius[t])
+    r_t = float(topology.radius[t])
     xy, power, alpha = topology.interfering_bs      # the macro first
-    labels = ["macro"] + [str(k) for k in topology.others.tolist()]
-    d_macro = math.hypot(cx - xy[0, 0], cy - xy[0, 1])
-    if d_macro <= r_t:
+    offset = xy - topology.centers[t]
+    d = np.hypot(offset[:, 0], offset[:, 1])
+    if d[0] <= r_t:
         raise TaylorValidityError(
-            f"macro BS at {d_macro:.1f} m is inside the tagged disk "
+            f"macro BS at {d[0]:.1f} m is inside the tagged disk "
             f"(R={r_t} m); re-draw or re-tag the topology")
 
-    d = np.hypot(cx - xy[1:, 0], cy - xy[1:, 1])
-    bs = power * _disk_pathloss(np.concatenate(([d_macro], d)), r_t, alpha)
-    per_bs = tuple(zip(labels, bs.tolist()))
-    per_ue: tuple[tuple[str, float], ...] = ()
-    if _duplex_terms(duplex)[0] and len(d):
-        ue = duplex.ue_tx_power * _disk_pair_pathloss(
-            d, topology.radius[topology.others], r_t, alpha[1:])
-        per_ue = tuple(zip(labels[1:], ue.tolist()))
-
-    total = sum(w for _, w in per_bs) + sum(w for _, w in per_ue)
-    return MeanInterferenceBreakdown(per_bs, per_ue, total)
+    # point BSs (R_i = 0), then in full duplex the uplink UEs of ``others``
+    k = len(d)
+    r_interferer, weight = np.zeros(k), power
+    if _duplex_terms(duplex)[0]:
+        d, alpha = np.concatenate((d, d[1:])), np.concatenate((alpha, alpha[1:]))
+        r_interferer = np.concatenate((r_interferer, topology.radius[topology.others]))
+        weight = np.concatenate((power, np.full(k - 1, duplex.ue_tx_power)))
+    mean = (_disk_pair_pathloss(d, r_interferer, r_t, alpha) * weight).tolist()
+    labels = ["macro"] + [str(j) for j in topology.others.tolist()]
+    per_bs, per_ue = tuple(zip(labels, mean[:k])), tuple(zip(labels[1:], mean[k:]))
+    return MeanInterferenceBreakdown(per_bs, per_ue, sum(mean[:k]) + sum(mean[k:]))

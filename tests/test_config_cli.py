@@ -346,15 +346,20 @@ class TestCli:
         assert "validation passed" in out
         assert "deployment 10:" in out
 
-    def test_import_leaves_integrate_and_optimize_unloaded(self):
-        # both take ~0.15 s to import; only the quadrature oracle needs them
+    def test_import_leaves_integrate_and_optimize_unloaded(self, tmp_path):
+        # scipy takes ~0.4 s to import; only the quadrature oracle of
+        # ``hetcap validate`` needs it, so the import, a README sweep and
+        # ``generate`` load no scipy module at all
         import hetcap
 
-        code = ("import sys, hetcap, hetcap.cli; print(sorted(m for m in "
-                "sys.modules if m.startswith(('scipy.integrate', "
-                "'scipy.optimize'))))")
+        code = ("import sys, hetcap, hetcap.cli\n"
+                "from hetcap.cli import main\n"
+                "assert main(['sweep', '--eta-from', '-80', '--eta-to', '0', "
+                "'--eta-step', '2.5', '--out', 'sweep.csv']) == 0\n"
+                "assert main(['generate', '--out', 'topology.txt']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         src = str(pathlib.Path(hetcap.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+                             capture_output=True, text=True, cwd=tmp_path).stdout
+        assert out.strip().splitlines()[-1] == "[]"

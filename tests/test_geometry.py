@@ -238,6 +238,37 @@ class TestDenseOracle:
         got = np.column_stack([i, j])
         np.testing.assert_array_equal(got[np.lexsort(got.T[::-1])], want)
 
+    @staticmethod
+    def _extreme_points(case):
+        rng = np.random.default_rng(3)
+        line = 0.5 * np.arange(100.0)
+        return {
+            # 1e15 cells per axis between the two points
+            "far apart, tiny distance": (np.array([[0.0, 0.0], [1e9, 0.0]]), 1e-6),
+            "close pairs at 1e9 m": (np.array([[1e9, 1e9], [1e9 + 5e-7, 1e9],
+                                               [1e9, 1e9 + 9.9e-7], [-1e9, 3.0]]),
+                                     1e-6),
+            "cluster and far outlier": (np.vstack([rng.normal(0.0, 1.0, (300, 2)),
+                                                   [[1e12, -1e12]]]), 0.3),
+            "all in one cell": (rng.uniform(0.0, 0.7, (200, 2)), 1.0),
+            # neighbours at 0.5 compete, next neighbours at exactly 1.0 do not
+            "collinear": (np.column_stack([line, np.zeros(100)]), 1.0),
+            "collinear diagonal": (np.column_stack([line, line]), 1.0),
+        }[case]
+
+    @pytest.mark.parametrize("case", [
+        "far apart, tiny distance", "close pairs at 1e9 m", "cluster and far outlier",
+        "all in one cell", "collinear", "collinear diagonal"])
+    def test_pairs_match_all_pairs_at_extremes(self, case):
+        pts, distance = self._extreme_points(case)
+        with np.errstate(all="raise"):
+            i, j = _close_pairs(pts, distance)
+        assert (i < j).all()
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+        want = np.argwhere(np.triu(d2 < distance**2, k=1))
+        got = np.column_stack([i, j])
+        np.testing.assert_array_equal(got[np.lexsort(got.T[::-1])], want)
+
     @pytest.mark.parametrize("overrides,fingerprint", [
         ({}, "3d17141228e8b620"),
         ({"macro_radius_m": 4000.0, "density_per_km2": 50.0}, "7d824f8595845d97"),
@@ -425,3 +456,21 @@ class TestArrayModel:
         clone = pickle.loads(pickle.dumps(sparse_topology))
         assert clone.fingerprint() == sparse_topology.fingerprint()
         np.testing.assert_array_equal(clone.centers, sparse_topology.centers)
+
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+    def test_pickle_comes_back_read_only(self, sparse_topology, protocol):
+        clone = pickle.loads(pickle.dumps(sparse_topology, protocol=protocol))
+        assert clone.fingerprint() == sparse_topology.fingerprint()
+        for name in ("centers", "radius", "power", "alpha"):
+            assert not getattr(clone, name).flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(clone, name)[0] = 0.0
+
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+    def test_pickle_leaves_cached_views_behind(self, sparse_topology, protocol):
+        t = sparse_topology
+        fresh = NetworkTopology(t.macro_bs, t.centers, t.radius, t.power, t.alpha,
+                                t.hard_core_distance, t.tagged_index, t.region)
+        size = len(pickle.dumps(fresh, protocol=protocol))
+        fresh.small_cells, fresh.interfering_bs       # fill the caches
+        assert len(pickle.dumps(fresh, protocol=protocol)) == size

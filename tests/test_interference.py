@@ -219,6 +219,16 @@ class TestExactMeanVsMpmath:
             for value in values:
                 assert abs(value - oracle) <= 1e-12 * oracle
 
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+    def test_point_to_disk_at_the_disk_edge(self, alpha):
+        # 0.2% outside the disk the series needs ~11k-16k terms and stays
+        # exact; 0.01% outside it would need more than MAX_SERIES_TERMS
+        oracle = _mp_disk_mean(1.002 * 90.0, 0.0, 90.0, alpha)
+        value = mean_interference_bs_ue(1.0, 1.002 * 90.0, 90.0, alpha)
+        assert abs(value - oracle) <= 1e-12 * oracle
+        with pytest.raises(TaylorValidityError, match="too close to touching"):
+            mean_interference_bs_ue(1.0, (1.0 + 1e-4) * 90.0, 90.0, alpha)
+
 
 class TestTotalMeanInterference:
     def test_macro_only_when_single_cell(self, single_cell_topology, fd_duplex):
@@ -255,6 +265,32 @@ class TestTotalMeanInterference:
         for (_, a), (_, b) in zip(base.per_bs + base.per_ue,
                                   got.per_bs + got.per_ue):
             assert b == pytest.approx(k * a, rel=1e-12)
+
+    def test_mixed_cells_match_one_pair_at_a_time(self):
+        # a cell 185 m from the tagged one (its uplink series needs ~900
+        # terms) and 59 far cells with mixed radii and exponents: the terms
+        # are grouped by (radius, exponent), large groups summed with baby
+        # and giant steps, and each must equal its single-pair mean
+        rng = np.random.default_rng(5)
+        angle = np.arange(59) * 2.0 * math.pi / 59
+        dist = 2000.0 + 40.0 * rng.random(59)
+        centers = ([(0.0, 0.0), (185.0, 0.0)]
+                   + list(zip(dist * np.cos(angle), dist * np.sin(angle))))
+        mostly = [0.8, 0.1, 0.1]
+        radius = [90.0, 90.0] + list(rng.choice([90.0, 50.0, 25.0], 59, p=mostly))
+        alpha = [3.0, 3.0] + list(rng.choice([3.0, 2.5, 4.0], 59, p=mostly))
+        topology = NetworkTopology(MacroBS((-400.0, 300.0), 40.0, 3.5), centers,
+                                   radius, 2.0, alpha, 180.0, 0, Region(3000.0))
+        breakdown = total_mean_interference(
+            topology, DuplexConfig(DuplexMode.FD, 0.0, 1.0, P_UE))
+        macro = mean_interference_bs_ue(40.0, 500.0, 90.0, 3.5)
+        assert breakdown.per_bs[0][1] == pytest.approx(macro, rel=1e-13)
+        for k in range(1, 61):
+            d = math.hypot(*centers[k])
+            assert breakdown.per_bs[k][1] == pytest.approx(
+                mean_interference_bs_ue(2.0, d, 90.0, alpha[k]), rel=1e-13)
+            assert breakdown.per_ue[k - 1][1] == pytest.approx(
+                mean_interference_ue_ue(P_UE, d, radius[k], 90.0, alpha[k]), rel=1e-13)
 
     def test_macro_inside_tagged_disk_raises(self):
         topology = NetworkTopology(MacroBS((0.0, 0.0), 39.8, 3.0), [(50.0, 0.0)],
