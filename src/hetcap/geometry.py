@@ -3,9 +3,10 @@
 A ``NetworkTopology`` holds its M cells as read-only arrays ``centers``
 (M, 2), ``radius``, ``power`` and ``alpha`` (M,), built once by its one
 constructor, which pickling also goes through; ``SmallCell`` records are
-derived from them for display only. One numpy grid pair search finds the
-point pairs closer than the hard core, for Matern thinning and for
-validation; the module needs numpy alone.
+derived from them for display only. One numpy pair search (all pairs for
+a few points, a uniform grid beyond) finds the point pairs closer than the
+hard core, for Matern thinning and for validation; the module needs numpy
+alone.
 
 Distances are in meters and powers in watts throughout. Polar angles are
 radians in [0, 2*pi) against the global +x axis, so an absolute position is
@@ -207,8 +208,18 @@ class NetworkTopology:
 
 
 #: Candidate pairs ``_close_pair_blocks`` tests per block; bounds its
-#: temporaries. Fewer points than make this many pairs skip the grid.
+#: temporaries.
 _PAIR_BLOCK = 1 << 12
+#: Up to this many pairs in all, ``_close_pair_blocks`` tests every pair:
+#: the grid's fixed cost is the larger there (n up to ~180 points).
+_ALL_PAIRS = 1 << 14
+
+
+@functools.lru_cache(maxsize=4)
+def _all_pairs(n: int) -> tuple[np.ndarray, ...]:
+    """``np.triu_indices(n, 1)``, read-only; cached, since listing the pairs
+    costs more than testing them."""
+    return tuple(_readonly(k) for k in np.triu_indices(n, 1))
 
 
 def _dense_rank(values: np.ndarray) -> np.ndarray:
@@ -228,7 +239,7 @@ def _close_pair_blocks(points: np.ndarray, distance: float):
     """Yield index arrays (i, j) of the pairs with dx^2 + dy^2 < distance^2.
 
     Each unordered pair comes once, in no particular orientation. Up to
-    ``_PAIR_BLOCK`` pairs in all, every pair is tested. Beyond that, a
+    ``_ALL_PAIRS`` pairs in all, every pair is tested. Beyond that, a
     uniform grid (cell list) over the ranks of the occupied cells: points
     are binned into square cells of side ``distance`` padded by 1e-9
     relative, plus the rounding of coord/side at the largest coordinate, so
@@ -246,9 +257,8 @@ def _close_pair_blocks(points: np.ndarray, distance: float):
     n = len(points)
     if n < 2 or not distance > 0:
         return
-    if n * (n - 1) // 2 <= _PAIR_BLOCK:
-        i, j = np.triu_indices(n, 1)
-        yield _closer_than(points[:, 0], points[:, 1], i, j, distance)
+    if n * (n - 1) // 2 <= _ALL_PAIRS:
+        yield _closer_than(points[:, 0], points[:, 1], *_all_pairs(n), distance)
         return
     side = distance * (1.0 + 1e-9) + float(np.abs(points).max()) * 2.0**-51
     row = _dense_rank(np.floor(points[:, 1] / side)) + 1
@@ -393,14 +403,14 @@ def sample_matern_hcpp(
     1/(pi*hard_core^2) raises ``SaturationWarning`` and delivers the
     saturated process instead.
 
-    Thinning finds rivals with one grid pair search (``_close_pair_blocks``)
-    and takes the rival minimum block by block, so time is
-    O(parents log parents) and memory is linear in parents: traced peaks
-    of ~120-180 bytes per parent, from the saturation intensity (~3.5k and
-    ~31k parents) to the highest parent intensity the solver returns
-    (~28/(pi*hard_core^2)), retained cells included. A request whose
-    expected parent count exceeds ``MAX_PARENTS`` (1e6, so at most
-    ~0.2 GB) raises ``RegionTooLargeError`` before any draw.
+    Thinning finds rivals with one pair search (``_close_pair_blocks``, a
+    grid beyond ~180 parents) and takes the rival minimum block by block,
+    so time is O(parents log parents) and memory is linear in parents:
+    traced peaks of ~120-180 bytes per parent, from the saturation
+    intensity (~3.5k and ~31k parents) to the highest parent intensity the
+    solver returns (~28/(pi*hard_core^2)), retained cells included. A
+    request whose expected parent count exceeds ``MAX_PARENTS`` (1e6, so
+    at most ~0.2 GB) raises ``RegionTooLargeError`` before any draw.
 
     Deterministic for a fixed seed.
     """

@@ -14,8 +14,8 @@ from hetcap import (InfeasibleRegionError, InvalidTopologyError, MacroBS,
                     SaturationWarning, ScenarioConfig, SmallCell,
                     sample_matern_hcpp, sample_uniform_disk_batch,
                     simulate_components)
-from hetcap.geometry import (MAX_PARENTS, _close_pairs, disk_points_xy,
-                             matern_parent_intensity)
+from hetcap.geometry import (_ALL_PAIRS, MAX_PARENTS, _close_pairs,
+                             disk_points_xy, matern_parent_intensity)
 
 
 def pairwise_min_distance(topology):
@@ -222,13 +222,15 @@ class TestDenseOracle:
         assert kept > 100
 
     def test_pairs_at_exactly_the_hard_core_do_not_compete(self):
-        # lattice neighbours sit at exactly 180 m (dx^2 + dy^2 == 180^2)
-        grid = 180.0 * np.arange(6.0)
-        pts = np.column_stack([np.repeat(grid, 6), np.tile(grid, 6)])
-        assert _close_pairs(pts, 180.0)[0].size == 0
-        i, j = _close_pairs(pts, 180.0 * (1 + 1e-12))
-        assert i.size == 2 * 6 * 5
-        assert (i < j).all()
+        # lattice neighbours sit at exactly 180 m (dx^2 + dy^2 == 180^2);
+        # 6 x 6 points are tested all pairs, 14 x 14 go through the grid
+        for k in (6, 14):
+            grid = 180.0 * np.arange(float(k))
+            pts = np.column_stack([np.repeat(grid, k), np.tile(grid, k)])
+            assert _close_pairs(pts, 180.0)[0].size == 0
+            i, j = _close_pairs(pts, 180.0 * (1 + 1e-12))
+            assert i.size == 2 * k * (k - 1)
+            assert (i < j).all()
 
     def test_pairs_match_all_pairs_search(self, rng):
         pts = rng.uniform(0, 2000.0, size=(600, 2))
@@ -241,26 +243,36 @@ class TestDenseOracle:
     @staticmethod
     def _extreme_points(case):
         rng = np.random.default_rng(3)
-        line = 0.5 * np.arange(100.0)
+        line = 0.5 * np.arange(200.0)
+        # 200 points within 1e-5 m of (1e9, -1e9), near the 1.2e-7 m float
+        # step there; the cell side's rounding pad, 4.4e-7 m, is not small
+        # against d = 1e-6
+        far_cluster = np.array([1e9, -1e9]) + rng.uniform(0.0, 1e-5, (200, 2))
+        huge = 1e150 + np.spacing(1e150) * np.arange(120.0)[:, None] * [1.0, 2.0]
         return {
-            # 1e15 cells per axis between the two points
-            "far apart, tiny distance": (np.array([[0.0, 0.0], [1e9, 0.0]]), 1e-6),
-            "close pairs at 1e9 m": (np.array([[1e9, 1e9], [1e9 + 5e-7, 1e9],
-                                               [1e9, 1e9 + 9.9e-7], [-1e9, 3.0]]),
-                                     1e-6),
+            # 1e15 cells per axis between the first two points
+            "far apart, tiny distance": (np.vstack([[[0.0, 0.0], [1e9, 0.0]],
+                                                    far_cluster]), 1e-6),
+            "close pairs at 1e9 m": (np.vstack([[[1e9, 1e9], [1e9 + 5e-7, 1e9],
+                                                 [1e9, 1e9 + 9.9e-7], [-1e9, 3.0]],
+                                                far_cluster]), 1e-6),
+            # coord/d would overflow; duplicates are the only close pairs
+            "duplicates at 1e150 m": (np.vstack([huge, huge[:80],
+                                                 [[0.0, 0.0], [5.0, 5.0]]]), 1e-160),
             "cluster and far outlier": (np.vstack([rng.normal(0.0, 1.0, (300, 2)),
                                                    [[1e12, -1e12]]]), 0.3),
             "all in one cell": (rng.uniform(0.0, 0.7, (200, 2)), 1.0),
             # neighbours at 0.5 compete, next neighbours at exactly 1.0 do not
-            "collinear": (np.column_stack([line, np.zeros(100)]), 1.0),
+            "collinear": (np.column_stack([line, np.zeros(200)]), 1.0),
             "collinear diagonal": (np.column_stack([line, line]), 1.0),
         }[case]
 
     @pytest.mark.parametrize("case", [
-        "far apart, tiny distance", "close pairs at 1e9 m", "cluster and far outlier",
-        "all in one cell", "collinear", "collinear diagonal"])
+        "far apart, tiny distance", "close pairs at 1e9 m", "duplicates at 1e150 m",
+        "cluster and far outlier", "all in one cell", "collinear", "collinear diagonal"])
     def test_pairs_match_all_pairs_at_extremes(self, case):
         pts, distance = self._extreme_points(case)
+        assert len(pts) * (len(pts) - 1) // 2 > _ALL_PAIRS   # the grid, not all pairs
         with np.errstate(all="raise"):
             i, j = _close_pairs(pts, distance)
         assert (i < j).all()
