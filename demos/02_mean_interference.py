@@ -55,8 +55,8 @@ topology = sample_matern_hcpp(Region(1000.0), 5e-6, 180.0, 90.0, seed=7,
                               macro_power=dbm_to_watts(46.0))
 duplex = DuplexConfig(DuplexMode.FD, 1e-8, 1.0, dbm_to_watts(23.0))
 breakdown = total_mean_interference(topology, duplex)
-bs_total = sum(w for _, w in breakdown.per_bs)
-ue_total = sum(w for _, w in breakdown.per_ue)
+bs_total = breakdown.per_bs.sum()
+ue_total = breakdown.per_ue.sum()
 print(f"{len(breakdown.per_bs)} downlink interferers: {bs_total:.4e} W")
 print(f"{len(breakdown.per_ue)} uplink interferers:   {ue_total:.4e} W")
 print(f"total mean interference:  {breakdown.total:.4e} W")

@@ -2,8 +2,8 @@
 
 Monte Carlo estimation of effective capacity for a tagged downlink user in a
 hard-core small-cell deployment, plus a Jensen lower bound built on
-closed-form mean-interference formulas whose cost does not grow with the
-network size.
+closed-form mean-interference formulas; the network size enters the bound's
+cost only through one O(M) mean per duplex mode, not per trial.
 """
 from .capacity import (ECEstimate, TrialComponents, ec_exact_mc,
                        ec_from_components, ec_lower_bound,

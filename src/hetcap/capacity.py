@@ -3,8 +3,8 @@
 The exact estimator averages (1+SINR)^-beta over joint draws of UE
 placements and fading, with beta = theta * T_f * BW * log2(e) so natural
 logs reproduce the bits-per-block definition. The lower bound freezes the
-interference at its mean and only averages over the desired signal power,
-which makes its cost independent of the network size.
+interference at its mean and only averages over the desired signal power;
+the network size enters its cost through one O(M) mean per duplex mode.
 
 Both estimators stratify the tagged UE's u = r^2/R^2: trial g draws it from
 bin g mod K of K equal-probability bins, and the reductions average the bin

@@ -278,11 +278,10 @@ def emit_sweep_csv(sweep: SweepResult, path: str) -> None:
 
 
 def emit_breakdown_csv(breakdown: MeanInterferenceBreakdown, path: str) -> None:
+    labels = ["macro", *map(str, breakdown.cells.tolist())]
     lines = ["interferer_id,type,mean_watts"]
-    for label, watts in breakdown.per_bs:
-        lines.append(f"{label},bs,{_fmt(watts)}")
-    for label, watts in breakdown.per_ue:
-        lines.append(f"{label},ue,{_fmt(watts)}")
+    lines += [f"{j},bs,{_fmt(w)}" for j, w in zip(labels, breakdown.per_bs.tolist())]
+    lines += [f"{j},ue,{_fmt(w)}" for j, w in zip(labels[1:], breakdown.per_ue.tolist())]
     lines.append(f"total,total,{_fmt(breakdown.total)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

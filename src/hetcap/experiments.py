@@ -64,12 +64,18 @@ class BenchmarkReport:
         return self.exact_seconds / self.lb_seconds
 
 
+#: Most points ``eta_grid_db`` builds; the README sweep has 33.
+MAX_GRID_POINTS = 100_000
+
+
 def eta_grid_db(start_db: float, stop_db: float, step_db: float) -> np.ndarray:
-    """Inclusive dB grid, ascending."""
+    """Inclusive dB grid, ascending; above ``MAX_GRID_POINTS`` points it raises."""
     if step_db <= 0:
         raise ValueError("step_db must be > 0")
-    n = int(round((stop_db - start_db) / step_db))
-    return start_db + step_db * np.arange(n + 1)
+    steps = (stop_db - start_db) / step_db
+    if not steps < MAX_GRID_POINTS - 0.5:           # nan and inf fail too
+        raise ValueError(f"eta grid of {steps + 1:,.0f} points above {MAX_GRID_POINTS:,}")
+    return start_db + step_db * np.arange(int(round(steps)) + 1)
 
 
 def sweep_eta(topology: NetworkTopology, qos: QoSConfig, noise: float,
@@ -117,6 +123,8 @@ def fd_gain(sweep: SweepResult) -> float:
     """Best FD-over-HD capacity ratio across the cancellation grid."""
     if not sweep.rows:
         raise ValueError("sweep is empty")
+    if hd_zero := [r.eta for r in sweep.rows if r.ec_hd_exact.ec == 0]:
+        raise ValueError(f"HD capacity is 0 at eta = {hd_zero[0]:.6g}: no FD/HD gain")
     return max(r.ec_fd_exact.ec / r.ec_hd_exact.ec for r in sweep.rows)
 
 

@@ -81,7 +81,7 @@ class MacroBS:
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
+    array.setflags(write=False)
     return array
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DuplexConfig, _duplex_terms
-from .geometry import NetworkTopology
+from .geometry import NetworkTopology, _readonly
 
 
 class TaylorValidityError(ValueError):
@@ -179,6 +179,8 @@ def _groups(r_interferer: np.ndarray, alpha: np.ndarray):
     One group, the common case, comes back as ``slice(None)``.
     """
     order = np.lexsort((alpha, r_interferer))
+    if not len(order):
+        return []
     first, last = order[0], order[-1]
     if r_interferer[first] == r_interferer[last] and alpha[first] == alpha[last]:
         return [(slice(None), float(r_interferer[first]), float(alpha[first]))]
@@ -187,20 +189,6 @@ def _groups(r_interferer: np.ndarray, alpha: np.ndarray):
              | (alpha_sorted[1:] != alpha_sorted[:-1])).nonzero()[0] + 1
     return [(order[lo:hi], float(r_sorted[lo]), float(alpha_sorted[lo]))
             for lo, hi in zip([0, *edges.tolist()], [*edges.tolist(), len(order)])]
-
-
-def _group_series(d: np.ndarray, reach: float, share: float,
-                  alpha: float) -> np.ndarray:
-    """sum_n c_n mu_n x^n for pairs of one (R_i, alpha); ``reach`` is R_i + R_v."""
-    x = reach / d
-    x *= x                    # for d > 0, x >= 1 exactly when d <= R_i + R_v
-    x_max = float(x.max())                            # nan if any is nan
-    count = _term_count(x_max, alpha) if x_max < 1.0 else MAX_SERIES_TERMS + 1
-    if count > MAX_SERIES_TERMS:
-        raise _domain_error(float(d[x.argmax()]), reach, alpha)
-    # all terms in one step while that is small, else sqrt(count) steps
-    step = count if len(x) * count <= _ONE_STEP else math.isqrt(count - 1) + 1
-    return _power_series(x, _series_coefficients(share, alpha, count, step))
 
 
 def _disk_pair_pathloss(d: np.ndarray, r_interferer: np.ndarray,
@@ -212,24 +200,24 @@ def _disk_pair_pathloss(d: np.ndarray, r_interferer: np.ndarray,
     R_i = 0 is a point interferer: then mu_n = 1/(n+1) and the sum is
     d^-alpha 2F1(alpha/2, alpha/2; 2; R_v^2/d^2), the point-to-disk mean.
     Every term is positive. Pairs with equal (R_i, alpha) share one
-    coefficient table, with as many terms as their largest x needs.
+    coefficient table, with as many terms as their largest x needs. Zero
+    pairs give an empty array.
     """
     series = np.empty_like(d)
     for members, r_i, alpha_k in _groups(r_interferer, alpha):
         reach = r_i + r_victim
-        series[members] = _group_series(d[members], reach,
-                                        r_i / reach if reach > 0 else 0.0, alpha_k)
+        x = reach / d[members]
+        x *= x                # for d > 0, x >= 1 exactly when d <= R_i + R_v
+        x_max = float(x.max())                        # nan if any is nan
+        count = _term_count(x_max, alpha_k) if x_max < 1.0 else MAX_SERIES_TERMS + 1
+        if count > MAX_SERIES_TERMS:
+            raise _domain_error(float(d[members][x.argmax()]), reach, alpha_k)
+        # all terms in one step while that is small, else sqrt(count) steps
+        step = count if len(x) * count <= _ONE_STEP else math.isqrt(count - 1) + 1
+        series[members] = _power_series(x, _series_coefficients(
+            r_i / reach if reach > 0 else 0.0, alpha_k, count, step))
     series /= d ** alpha
     return series
-
-
-def _pair_mean(d: float, r_interferer: float, r_victim: float, alpha: float) -> float:
-    """``_disk_pair_pathloss`` of one pair, for any d."""
-    if not d > r_interferer + r_victim:
-        raise _domain_error(d, r_interferer + r_victim, alpha)
-    return float(_disk_pair_pathloss(
-        np.array([d], dtype=float), np.array([r_interferer], dtype=float),
-        float(r_victim), np.array([alpha], dtype=float))[0])
 
 
 def mean_interference_bs_ue(p_bs: float, d: float, r_victim: float,
@@ -244,9 +232,7 @@ def mean_interference_bs_ue(p_bs: float, d: float, r_victim: float,
     ~1.001 at 4), where the series would exceed ``MAX_SERIES_TERMS`` terms.
     From d/R = 1.002 on it agrees with a 30-digit 2F1 to 2.3e-13.
     """
-    if p_bs < 0:
-        raise ValueError("p_bs must be >= 0")
-    return p_bs * _pair_mean(d, 0.0, r_victim, alpha)
+    return mean_interference_ue_ue(p_bs, d, 0.0, r_victim, alpha)
 
 
 def mean_interference_ue_ue(p_ue: float, d: float, r_interferer: float,
@@ -259,28 +245,41 @@ def mean_interference_ue_ue(p_ue: float, d: float, r_interferer: float,
     ``MAX_SERIES_TERMS`` terms.
     """
     if p_ue < 0:
-        raise ValueError("p_ue must be >= 0")
-    return p_ue * _pair_mean(d, r_interferer, r_victim, alpha)
+        raise ValueError(f"transmit power must be >= 0, got {p_ue}")
+    if not d > r_interferer + r_victim:
+        raise _domain_error(d, r_interferer + r_victim, alpha)
+    d, r_i, alpha = np.array([[d], [r_interferer], [alpha]], dtype=float)
+    return p_ue * float(_disk_pair_pathloss(d, r_i, float(r_victim), alpha)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanInterferenceBreakdown:
-    """Per-interferer mean powers at the tagged UE; total is their sum.
+    """Per-interferer mean powers (W) at the tagged UE, in read-only arrays.
 
-    ``per_bs`` labels are "macro" or the small-cell index; ``per_ue`` holds
-    the uplink interferers (empty in half duplex).
+    ``per_bs``: the macro, then the non-tagged ``cells`` (``interfering_bs``
+    order); ``per_ue``: the uplink UEs of ``cells``, empty in half duplex.
+    A negative or nan entry raises ``ValueError``.
     """
 
-    per_bs: tuple[tuple[str, float], ...]
-    per_ue: tuple[tuple[str, float], ...]
-    total: float
+    per_bs: np.ndarray
+    per_ue: np.ndarray
+    cells: np.ndarray
 
     def __post_init__(self) -> None:
-        parts = [w for _, w in self.per_bs + self.per_ue]
-        if any(w < 0 for w in parts):
-            raise ValueError("negative mean interference entry")
-        if abs(self.total - sum(parts)) > 1e-9 * max(self.total, 1e-300):
-            raise ValueError("total does not equal the sum of parts")
+        k, m = len(self.per_bs), len(self.cells)  # per_bs, per_ue: views of one copy
+        parts = _readonly(np.concatenate((self.per_bs, self.per_ue), dtype=float))
+        if k != m + 1 or len(parts) - k not in (0, m):
+            raise ValueError(f"{m} cells need {m + 1} BS terms and 0 or {m} UE terms")
+        if not parts.min() >= 0:                                # nan fails too
+            raise ValueError("mean interference entries must be >= 0, not nan")
+        object.__setattr__(self, "per_bs", parts[:k])
+        object.__setattr__(self, "per_ue", parts[k:])
+        object.__setattr__(self, "cells", _readonly(np.array(self.cells, dtype=int)))
+
+    @property
+    def total(self) -> float:
+        """The BS terms, then the UE terms, summed left to right."""
+        return sum(self.per_bs.tolist()) + sum(self.per_ue.tolist())
 
 
 def total_mean_interference(topology: NetworkTopology,
@@ -290,13 +289,13 @@ def total_mean_interference(topology: NetworkTopology,
     Every non-tagged BS (macro included) contributes a downlink term; in full
     duplex every non-tagged small cell also contributes one uplink UE at
     ``duplex.ue_tx_power``. The macro-attached UE is scheduled on other
-    resources and never contributes. All terms are exact means, evaluated
-    for all cells in one ``_disk_pair_pathloss`` call. Raises
-    ``TaylorValidityError`` when the macro BS sits inside the tagged disk
-    (re-draw or re-tag the topology rather than accept a corrupted bound) or
-    within ~0.1% of its edge (see ``mean_interference_bs_ue``), or, in full
-    duplex, when a cell is within ~0.1% of touching the tagged disk (see
-    ``mean_interference_ue_ue``).
+    resources and never contributes. All terms are exact means, from one
+    ``_disk_pair_pathloss`` call for the point BSs and, in full duplex, one
+    for the uplink UEs. Raises ``TaylorValidityError`` when the macro BS
+    sits inside the tagged disk (re-draw or re-tag the topology rather than
+    accept a corrupted bound) or within ~0.1% of its edge (see
+    ``mean_interference_bs_ue``), or, in full duplex, when a cell is within
+    ~0.1% of touching the tagged disk (see ``mean_interference_ue_ue``).
     """
     t = topology._tagged()
     r_t = float(topology.radius[t])
@@ -307,15 +306,9 @@ def total_mean_interference(topology: NetworkTopology,
         raise TaylorValidityError(
             f"macro BS at {d[0]:.1f} m is inside the tagged disk "
             f"(R={r_t} m); re-draw or re-tag the topology")
-
-    # point BSs (R_i = 0), then in full duplex the uplink UEs of ``others``
-    k = len(d)
-    r_interferer, weight = np.zeros(k), power
+    per_bs = power * _disk_pair_pathloss(d, np.zeros(len(d)), r_t, alpha)
+    per_ue = np.empty(0)
     if _duplex_terms(duplex)[0]:
-        d, alpha = np.concatenate((d, d[1:])), np.concatenate((alpha, alpha[1:]))
-        r_interferer = np.concatenate((r_interferer, topology.radius[topology.others]))
-        weight = np.concatenate((power, np.full(k - 1, duplex.ue_tx_power)))
-    mean = (_disk_pair_pathloss(d, r_interferer, r_t, alpha) * weight).tolist()
-    labels = ["macro"] + [str(j) for j in topology.others.tolist()]
-    per_bs, per_ue = tuple(zip(labels, mean[:k])), tuple(zip(labels[1:], mean[k:]))
-    return MeanInterferenceBreakdown(per_bs, per_ue, sum(mean[:k]) + sum(mean[k:]))
+        per_ue = duplex.ue_tx_power * _disk_pair_pathloss(
+            d[1:], topology.radius[topology.others], r_t, alpha[1:])
+    return MeanInterferenceBreakdown(per_bs, per_ue, topology.others)

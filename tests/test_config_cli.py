@@ -208,6 +208,21 @@ class TestResultEmission:
         assert lines[0] == "interferer_id,type,mean_watts"
         assert lines[-1].startswith("total,total,")
 
+    def test_breakdown_csv_labels(self, tmp_path, sparse_topology, fd_duplex):
+        from hetcap import total_mean_interference
+
+        breakdown = total_mean_interference(sparse_topology, fd_duplex)
+        out = tmp_path / "breakdown.csv"
+        emit_breakdown_csv(breakdown, str(out))
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        cells = [str(j) for j in sparse_topology.others.tolist()]
+        assert [r[0] for r in rows] == ["macro", *cells, *cells, "total"]
+        assert [r[1] for r in rows] == (["bs"] * (len(cells) + 1)
+                                        + ["ue"] * len(cells) + ["total"])
+        watts = [*breakdown.per_bs.tolist(), *breakdown.per_ue.tolist(),
+                 breakdown.total]
+        assert [r[2] for r in rows] == [f"{w:.10g}" for w in watts]
+
     def test_benchmark_csv_single_row(self, tmp_path):
         from hetcap import BenchmarkReport
 
@@ -308,6 +323,21 @@ class TestCli:
         big.write_text("macro_radius_m = 1000000\ndensity_per_km2 = 50\n")
         assert main(["generate", "--scenario", str(big)]) == 1
         assert "MAX_PARENTS" in capsys.readouterr().err
+
+    def test_silent_tagged_cell_sweep_exit_code(self, tmp_path, capsys):
+        # a silent tagged cell is valid, but its HD capacity is 0, so the
+        # FD/HD gain is 0/0: a validation failure, not a runtime error
+        silent = tmp_path / "silent.txt"
+        silent.write_text("pico_power_dbm = -inf\ntrials = 200\n")
+        assert main(["sweep", "--scenario", str(silent),
+                     "--out", str(tmp_path / "sweep.csv")]) == 1
+        assert "HD capacity is 0 at eta" in capsys.readouterr().err
+
+    def test_oversized_eta_grid_exit_code(self, tmp_path, capsys):
+        assert main(["sweep", "--eta-step", "1e-7",
+                     "--out", str(tmp_path / "sweep.csv")]) == 1
+        assert "points above" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"

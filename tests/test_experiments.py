@@ -153,6 +153,28 @@ class TestGainAndCrossover:
         with pytest.raises(ValueError):
             eta_grid_db(-60.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("step_db", [1e-7, 1e-300])
+    def test_eta_grid_refuses_more_points_than_the_cap(self, step_db):
+        # 8e8 points (6.4 GB) and an infinite count raise before allocating
+        with pytest.raises(ValueError, match="points above"):
+            eta_grid_db(-80.0, 0.0, step_db)
+
+    def test_gain_refuses_zero_hd_capacity(self):
+        # a silent tagged cell: HD and FD capacities both 0, gain 0/0
+        from hetcap import ECEstimate, SweepResult, SweepRow
+
+        def estimate(value, mode):
+            return ECEstimate(value, 0.0, 1, 1e-3, mode, "exact_mc")
+
+        rows = tuple(SweepRow(eta, estimate(0.0, DuplexMode.HD),
+                              estimate(0.0, DuplexMode.FD),
+                              estimate(0.0, DuplexMode.HD),
+                              estimate(0.0, DuplexMode.FD))
+                     for eta in (1e-8, 1e-4))
+        sweep = SweepResult((1e-8, 1e-4), rows, {"seed": 0})
+        with pytest.raises(ValueError, match="HD capacity is 0 at eta = 1e-08"):
+            fd_gain(sweep)
+
     def test_synthetic_interpolation(self):
         # hand-built rows: FD-HD crosses zero midway between -20 and -10 dB
         from hetcap import ECEstimate, SweepResult, SweepRow

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hetcap import (DuplexConfig, DuplexMode, MacroBS, NetworkTopology,
+from hetcap import (DuplexConfig, DuplexMode, MacroBS,
+                    MeanInterferenceBreakdown, NetworkTopology,
                     QuadratureDomainError, Region, TaylorAccuracyWarning,
                     TaylorValidityError, dbm_to_watts, mean_interference_bs_ue,
                     mean_interference_ue_ue, mean_pathloss_numeric,
                     mean_pathloss_taylor, total_mean_interference)
+from hetcap.interference import _disk_pair_pathloss
 
 P_UE = 0.2
 
@@ -234,15 +236,61 @@ class TestTotalMeanInterference:
     def test_macro_only_when_single_cell(self, single_cell_topology, fd_duplex):
         breakdown = total_mean_interference(single_cell_topology, fd_duplex)
         assert len(breakdown.per_bs) == 1
-        assert breakdown.per_bs[0][0] == "macro"
-        assert breakdown.per_ue == ()
-        assert breakdown.total == pytest.approx(breakdown.per_bs[0][1])
+        assert len(breakdown.cells) == 0        # per_bs[0] is the macro
+        assert len(breakdown.per_ue) == 0
+        assert breakdown.total == pytest.approx(breakdown.per_bs[0])
+
+    def test_fd_single_cell_has_no_uplink_terms(self, single_cell_topology,
+                                                fd_duplex):
+        # no other cell, so the uplink series runs on zero pairs
+        breakdown = total_mean_interference(single_cell_topology, fd_duplex)
+        assert breakdown.per_ue.shape == (0,)
+        assert breakdown.total == breakdown.per_bs[0]
+
+    def test_zero_pairs_give_an_empty_array(self):
+        empty = np.empty(0)
+        out = _disk_pair_pathloss(empty, empty, 90.0, empty)
+        assert out.shape == (0,) and out.dtype == float
+
+    @pytest.mark.parametrize("per_bs,per_ue", [
+        ([1e-9, math.nan], []),
+        ([1e-9, 2e-9], [math.nan]),
+        ([1e-9, -2e-9], []),
+        ([1e-9, 2e-9], [-1e-12]),
+    ])
+    def test_breakdown_refuses_nan_and_negative_entries(self, per_bs, per_ue):
+        with pytest.raises(ValueError, match=">= 0, not nan"):
+            MeanInterferenceBreakdown(per_bs, per_ue, [1])
+
+    @pytest.mark.parametrize("per_bs,per_ue", [
+        ([1e-9], []),
+        ([1e-9, 2e-9, 3e-9], []),
+        ([1e-9, 2e-9], [1e-12, 2e-12]),
+    ])
+    def test_breakdown_refuses_terms_that_do_not_match_the_cells(self, per_bs,
+                                                                per_ue):
+        # one cell: the macro and its BS, and none or one uplink UE
+        with pytest.raises(ValueError, match="1 cells need 2 BS terms"):
+            MeanInterferenceBreakdown(per_bs, per_ue, [1])
+
+    def test_breakdown_arrays_are_read_only_copies(self, two_cell_topology,
+                                                   fd_duplex):
+        breakdown = total_mean_interference(two_cell_topology, fd_duplex)
+        per_bs, cells = np.array([1e-9, 2e-9]), np.array([1])
+        copy = MeanInterferenceBreakdown(per_bs, [3e-9], cells)
+        per_bs[0], cells[0] = 5.0, 7
+        assert copy.per_bs.tolist() == [1e-9, 2e-9] and copy.cells.tolist() == [1]
+        for array in (breakdown.per_bs, breakdown.per_ue, breakdown.cells):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert breakdown.cells.tolist() == two_cell_topology.others.tolist()
+        assert breakdown.total == (sum(breakdown.per_bs.tolist())
+                                   + sum(breakdown.per_ue.tolist()))
 
     def test_hd_has_no_ue_terms(self, two_cell_topology, hd_duplex):
         breakdown = total_mean_interference(two_cell_topology, hd_duplex)
-        assert breakdown.per_ue == ()
-        assert breakdown.total == pytest.approx(
-            sum(w for _, w in breakdown.per_bs))
+        assert len(breakdown.per_ue) == 0
+        assert breakdown.total == pytest.approx(breakdown.per_bs.sum())
 
     def test_two_cell_composition(self, two_cell_topology):
         duplex = DuplexConfig(DuplexMode.FD, 1e-8, 1.0, P_UE)
@@ -262,8 +310,7 @@ class TestTotalMeanInterference:
             t.tagged_index, t.region)
         scaled_duplex = DuplexConfig(DuplexMode.FD, 0.0, 1.0, k * P_UE)
         got = total_mean_interference(scaled, scaled_duplex)
-        for (_, a), (_, b) in zip(base.per_bs + base.per_ue,
-                                  got.per_bs + got.per_ue):
+        for a, b in zip([*base.per_bs, *base.per_ue], [*got.per_bs, *got.per_ue]):
             assert b == pytest.approx(k * a, rel=1e-12)
 
     def test_mixed_cells_match_one_pair_at_a_time(self):
@@ -284,12 +331,12 @@ class TestTotalMeanInterference:
         breakdown = total_mean_interference(
             topology, DuplexConfig(DuplexMode.FD, 0.0, 1.0, P_UE))
         macro = mean_interference_bs_ue(40.0, 500.0, 90.0, 3.5)
-        assert breakdown.per_bs[0][1] == pytest.approx(macro, rel=1e-13)
+        assert breakdown.per_bs[0] == pytest.approx(macro, rel=1e-13)
         for k in range(1, 61):
             d = math.hypot(*centers[k])
-            assert breakdown.per_bs[k][1] == pytest.approx(
+            assert breakdown.per_bs[k] == pytest.approx(
                 mean_interference_bs_ue(2.0, d, 90.0, alpha[k]), rel=1e-13)
-            assert breakdown.per_ue[k - 1][1] == pytest.approx(
+            assert breakdown.per_ue[k - 1] == pytest.approx(
                 mean_interference_ue_ue(P_UE, d, radius[k], 90.0, alpha[k]), rel=1e-13)
 
     def test_macro_inside_tagged_disk_raises(self):
