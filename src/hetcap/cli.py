@@ -92,10 +92,11 @@ def _cmd_sweep(args) -> int:
         topology, cfg.qos(), cfg.noise_watts,
         config.dbm_to_watts(cfg.ue_power_dbm), grid, cfg.trials, cfg.trial_seed,
         kappa=cfg.kappa, workers=args.workers)
-    out = args.out or "sweep.csv"
-    config.emit_sweep_csv(sweep, out)
+    # a sweep without an FD/HD gain raises here, before any file is written
     gain = experiments.fd_gain(sweep)
     crossover = experiments.find_crossover(sweep)
+    out = args.out or "sweep.csv"
+    config.emit_sweep_csv(sweep, out)
     crossover_text = "none" if crossover is None else f"{crossover:.1f} dB"
     print(f"{len(sweep.rows)} grid points -> {out}")
     print(f"max FD/HD gain {gain:.3f}, crossover {crossover_text}")
@@ -142,6 +143,8 @@ def _cmd_validate(args) -> int:
             exact = capacity.ec_exact_mc(
                 topology, sampled.duplex(), sampled.qos(), sampled.noise_watts,
                 trials, int(rng.integers(1 << 30)))
+            # the bound ignores its seed; drawing one keeps the deployments
+            # this command has always checked
             lb = capacity.ec_lower_bound(
                 topology, sampled.duplex(), sampled.qos(), sampled.noise_watts,
                 trials, int(rng.integers(1 << 30)))
@@ -180,7 +183,8 @@ def _cmd_bench(args) -> int:
             topology, duplex, cfg.qos(), cfg.noise_watts, target, cfg.trial_seed)
         print(f"{mode}: exact {report.exact_seconds:.3f} s "
               f"({report.exact_trials} trials), lower bound "
-              f"{report.lb_seconds:.3f} s ({report.lb_trials} samples), "
+              f"{report.lb_seconds * 1e3:.3f} ms ({report.lb_trials} "
+              "quadrature nodes), "
               f"speedup {report.speedup:.1f}x at M={report.cell_count}")
         if args.out:
             out = args.out if len(modes) == 1 else f"{args.out}.{mode}"

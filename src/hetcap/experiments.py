@@ -1,9 +1,10 @@
 """Duplexing experiments: cancellation sweeps, gain/crossover, runtime scaling.
 
 A sweep evaluates the four capacity variants (exact and lower bound, for HD
-and FD) on one set of trial draws, so curves share common random numbers
-across the cancellation grid and across duplex modes. HD entries do not
-depend on the cancellation factor and are computed once.
+and FD). The exact ones reduce one set of trial draws, so curves share
+common random numbers across the cancellation grid and across duplex modes;
+the bounds are deterministic. HD entries do not depend on the cancellation
+factor and are computed once.
 """
 from __future__ import annotations
 
@@ -85,9 +86,9 @@ def sweep_eta(topology: NetworkTopology, qos: QoSConfig, noise: float,
 
     ``grid_db`` holds 10*log10(eta) values (``-inf`` allowed for perfect
     cancellation); it is sorted ascending. The eta-independent work is done
-    once: the exact-MC trial draws and their FD interference sum, the lower
-    bound's signal draws and its mean interference per duplex mode. Each
-    grid point then only runs the two FD reductions, which equal standalone
+    once: the exact-MC trial draws and their FD interference sum, and the
+    lower bound's mean interference per duplex mode; the bounds of all grid
+    points are one batched quadrature. Each row equals standalone
     ``ec_from_components`` and ``ec_lower_bound`` calls bit for bit.
     """
     grid_db = np.sort(np.asarray(grid_db, dtype=float))
@@ -102,8 +103,7 @@ def sweep_eta(topology: NetworkTopology, qos: QoSConfig, noise: float,
     ec_hd = ec_from_components(components, hd, qos, noise)
     fds = [DuplexConfig(DuplexMode.FD, float(eta), kappa, ue_tx_power)
            for eta in etas]
-    ec_hd_lb, *ec_fd_lbs = _lb_over_duplexes(topology, [hd, *fds], qos, noise,
-                                            trials, seed)
+    ec_hd_lb, *ec_fd_lbs = _lb_over_duplexes(topology, [hd, *fds], qos, noise)
     rows = [SweepRow(eta=fd.eta, ec_hd_exact=ec_hd,
                      ec_fd_exact=ec_from_components(components, fd, qos, noise),
                      ec_hd_lb=ec_hd_lb, ec_fd_lb=ec_fd_lb)
@@ -153,13 +153,32 @@ def find_crossover(sweep: SweepResult) -> float | None:
     return float(x0 - y0 * (x1 - x0) / (y1 - y0))
 
 
-#: Trials in each of ``benchmark_runtime``'s two pilot runs.
+#: Trials in ``benchmark_runtime``'s pilot run of the exact estimator.
 _PILOT_TRIALS = 4000
+
+#: Least wall time of one timing in ``benchmark_runtime``: a section is
+#: called back to back until this much has elapsed, so a sub-millisecond
+#: call is not timed by one preemption.
+_MIN_TIMING_S = 0.02
 
 
 def _required_trials(pilot_se: float, pilot_trials: int, target_se: float) -> int:
+    """Exact-MC trials that bring a pilot's SE to ``target_se``, in [1000, 4e6]."""
     n = int(math.ceil(pilot_trials * (pilot_se / target_se) ** 2))
     return max(min(n, 4_000_000), 1000)
+
+
+def _seconds_per_call(run) -> float:
+    """Per-call wall time of ``run`` over back-to-back calls.
+
+    The calls go on until ``_MIN_TIMING_S`` has elapsed; a call slower than
+    that is timed alone.
+    """
+    calls, t0 = 0, time.perf_counter()
+    while (elapsed := time.perf_counter() - t0) < _MIN_TIMING_S:
+        run()
+        calls += 1
+    return elapsed / calls
 
 
 def benchmark_runtime(topology: NetworkTopology, duplex: DuplexConfig,
@@ -167,28 +186,29 @@ def benchmark_runtime(topology: NetworkTopology, duplex: DuplexConfig,
                       seed: int) -> BenchmarkReport:
     """Time the exact estimator against the analytic lower bound.
 
-    Both are run to the same capacity standard-error target; trial counts
-    come from a pilot run of each estimator (which doubles as warmup). Each
-    timed section takes the faster of two runs and executes serially, so the
-    comparison is worker-independent.
+    The exact estimator runs to the capacity standard-error target, with
+    its trial count from a pilot run (which doubles as warmup). The bound
+    is deterministic, so one call meets any target; its ``lb_trials`` is
+    its quadrature node count. Each timing is a ``_seconds_per_call``; a
+    section reports its fastest. The exact estimator is timed twice, and
+    the bound before and after each of those: a slow spell of the host can
+    outlast a few timings in a row, but rarely the exact runs between them.
+    Everything runs serially, so the comparison is worker-independent.
     """
-    pilot_exact = ec_exact_mc(topology, duplex, qos, noise, _PILOT_TRIALS, seed)
-    n_exact = _required_trials(pilot_exact.std_error, _PILOT_TRIALS,
-                               target_std_error)
-    pilot_lb = ec_lower_bound(topology, duplex, qos, noise, _PILOT_TRIALS, seed)
-    n_lb = _required_trials(pilot_lb.std_error, _PILOT_TRIALS, target_std_error)
+    pilot = ec_exact_mc(topology, duplex, qos, noise, _PILOT_TRIALS, seed)
+    n_exact = _required_trials(pilot.std_error, _PILOT_TRIALS, target_std_error)
+    bound = ec_lower_bound(topology, duplex, qos, noise, n_exact, seed)
 
-    def timed(run) -> float:
-        best = math.inf
-        for _ in range(2):
-            t0 = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - t0)
-        return best
+    def exact() -> None:
+        ec_exact_mc(topology, duplex, qos, noise, n_exact, seed)
 
-    exact_seconds = timed(
-        lambda: ec_exact_mc(topology, duplex, qos, noise, n_exact, seed))
-    lb_seconds = timed(
-        lambda: ec_lower_bound(topology, duplex, qos, noise, n_lb, seed))
-    return BenchmarkReport(exact_seconds, lb_seconds, n_exact, n_lb,
+    def lower_bound() -> None:
+        ec_lower_bound(topology, duplex, qos, noise, n_exact, seed)
+
+    lb_seconds = _seconds_per_call(lower_bound)
+    exact_seconds = math.inf
+    for _ in range(2):
+        exact_seconds = min(exact_seconds, _seconds_per_call(exact))
+        lb_seconds = min(lb_seconds, _seconds_per_call(lower_bound))
+    return BenchmarkReport(exact_seconds, lb_seconds, n_exact, bound.trials,
                            len(topology.centers), target_std_error)

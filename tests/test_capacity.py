@@ -167,7 +167,8 @@ def lb_by_quadrature(topology, duplex, qos, noise):
 
     Same frozen mean as ``ec_lower_bound``; E_s (1 + s/denom)^-expo is
     integrated over the tagged UE's radius and, inside, over the fading
-    (h = -log u for uniform u), independently of the Monte Carlo draws.
+    (h = -log u for uniform u), by scipy's adaptive rules rather than the
+    library's fixed ones.
     """
     from scipy import integrate
 
@@ -191,6 +192,87 @@ def lb_by_quadrature(topology, duplex, qos, noise):
     return max(-math.log(z_mean) / qos.theta, 0.0)
 
 
+def lb_by_monte_carlo(topology, duplex, qos, noise, draws, seed, i_mean=None):
+    """Jensen bound with the signal expectation as a Monte Carlo average.
+
+    The interference is frozen at ``i_mean`` (the closed-form mean if None);
+    ``draws`` stratified tagged-UE radii and unit-mean fadings come from
+    their own stream of ``seed``. Returns (ec, standard error).
+    """
+    from hetcap.channel import _duplex_terms
+
+    tagged = topology.tagged_cell
+    _, rsi, share = _duplex_terms(duplex)
+    if i_mean is None:
+        i_mean = total_mean_interference(topology, duplex).total
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    r = capacity._tagged_radius(tagged.radius, draws, rng,
+                                capacity._strata(draws))
+    s = tagged.power * rng.standard_exponential(size=draws) \
+        * path_loss_gain(r, tagged.alpha)
+    z = (1.0 + s / (i_mean + (rsi + noise))) ** (-share * qos.beta)
+    return capacity._reduce_ec(z, qos.theta)
+
+
+def fading_average_by_mpmath(lam, b):
+    """E_h[(1 + h/lam)^-b] = lam U(1, 2 - b, lam) and 1 minus it, at 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        f = mpmath.mpf(lam) * mpmath.hyperu(1, 2 - mpmath.mpf(b), lam)
+        return float(f), float(1 - f)
+
+
+class TestFadingAverage:
+    """The bound's closed-form fading average and its quadrature rules."""
+
+    @pytest.mark.parametrize("b", [0.065, 0.5, 1, 2, 4, 13, 20, 50])
+    def test_matches_mpmath(self, b):
+        lam = np.logspace(-18, 6, 49)
+        with np.errstate(all="raise"):
+            got = capacity._fading_average(1.0 / lam, b)
+        want, want_complement = np.array(
+            [fading_average_by_mpmath(x, b) for x in lam]).T
+        np.testing.assert_allclose(got, want, rtol=1e-7, atol=0)
+        # 1 - F sets the bound where F is near 1: it keeps its accuracy
+        kept = want_complement > 1e-9
+        np.testing.assert_allclose(1.0 - got[kept], want_complement[kept],
+                                   rtol=1e-7, atol=0)
+
+    def test_broadcasts_exponent_per_row(self):
+        snr = np.array([[1e3, 1.0], [1e3, 1.0]])
+        got = capacity._fading_average(snr, np.array([[0.5], [2.0]]))
+        np.testing.assert_array_equal(got[0], capacity._fading_average(snr[0], 0.5))
+        np.testing.assert_array_equal(got[1], capacity._fading_average(snr[1], 2.0))
+
+    def test_silent_link_averages_to_one(self):
+        with np.errstate(all="raise"):
+            assert capacity._fading_average(0.0, 0.5) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_gauss_legendre_matches_numpy(self, n):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = capacity._gauss_legendre(n)
+        want_nodes, want_weights = leggauss(n)
+        np.testing.assert_allclose(nodes, want_nodes, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(weights, want_weights, rtol=1e-13)
+
+    @pytest.mark.parametrize("radius,alpha", [(0.5, 3.0), (1.0, 3.0),
+                                              (90.0, 3.0), (4000.0, 5.0),
+                                              (90.0, 0.0)])
+    def test_radius_rule_integrates_the_disk(self, radius, alpha):
+        # weights sum to 1 (uniform u), and E_u 1/g(R sqrt u) has a closed
+        # form: the clamp's share plus the integral of R^alpha u^(alpha/2)
+        gain, weights = capacity._radius_rule(radius, alpha)
+        u_clamp = min(1.0 / radius**2, 1.0)
+        assert weights.sum() == pytest.approx(1.0, rel=1e-13)
+        want = u_clamp + radius**alpha * (1.0 - u_clamp ** (alpha / 2 + 1)) \
+            / (alpha / 2 + 1)
+        assert (1.0 / gain) @ weights == pytest.approx(want, rel=1e-12)
+
+
 class TestLowerBound:
     def test_ordering_quick(self, sparse_topology, fd_duplex, qos_default):
         exact = ec_exact_mc(sparse_topology, fd_duplex, qos_default, NOISE,
@@ -205,47 +287,71 @@ class TestLowerBound:
                                            monkeypatch):
         # constant interference and signal (one tagged-radius stratum): Jensen
         # is tight
-        from hetcap.capacity import _lb_reduce, _lb_signal_draws
-
         monkeypatch.setattr(capacity, "_STRATA", 1)
         components = simulate_components(single_cell_topology, P_UE, 200, 1)
         exact = ec_from_components(components, fd_duplex, qos_default, NOISE)
         i_mean = float((components.bs_interference
                         + components.ue_interference).mean())
-        s = _lb_signal_draws(single_cell_topology, 200, 1)
-        lb = _lb_reduce(s, i_mean, fd_duplex, qos_default, NOISE)
-        assert lb.ec == pytest.approx(exact.ec, rel=1e-12)
+        lb, _ = lb_by_monte_carlo(single_cell_topology, fd_duplex, qos_default,
+                                  NOISE, 200, 1, i_mean)
+        assert lb == pytest.approx(exact.ec, rel=1e-12)
 
     def test_analytic_and_simulated_sources_agree(self, sparse_topology,
                                                   fd_duplex, qos_default):
         # Freezing the empirical mean of exact-MC trials instead of the closed
         # form moves the bound by no more than that mean's own error allows.
-        from hetcap.capacity import _lb_reduce, _lb_signal_draws
-
         analytic = ec_lower_bound(sparse_topology, fd_duplex, qos_default,
                                   NOISE, 40000, 17)
         components = simulate_components(sparse_topology, P_UE, 10**5, 17)
         totals = components.bs_interference + components.ue_interference
         i_mean = float(totals.mean())
         i_mean_se = float(totals.std(ddof=1)) / math.sqrt(len(totals))
-        s = _lb_signal_draws(sparse_topology, 40000, 17)
-        simulated = _lb_reduce(s, i_mean, fd_duplex, qos_default, NOISE)
+        simulated, simulated_se = lb_by_monte_carlo(
+            sparse_topology, fd_duplex, qos_default, NOISE, 40000, 17, i_mean)
         # sensitivity of the bound to the frozen mean, by finite difference
+        # on the same signal draws
         delta = 1e-6 * i_mean
-        shifted = _lb_reduce(s, i_mean + delta, fd_duplex, qos_default, NOISE)
-        dec_di = abs(shifted.ec - simulated.ec) / delta
-        margin = 3 * math.hypot(analytic.std_error, simulated.std_error,
+        shifted, _ = lb_by_monte_carlo(sparse_topology, fd_duplex, qos_default,
+                                       NOISE, 40000, 17, i_mean + delta)
+        dec_di = abs(shifted - simulated) / delta
+        margin = 3 * math.hypot(analytic.std_error, simulated_se,
                                 dec_di * i_mean_se)
-        assert abs(analytic.ec - simulated.ec) <= margin
+        assert abs(analytic.ec - simulated) <= margin
         assert analytic.method == "lower_bound_analytic"
 
     def test_quadrature_signal_expectation_agrees(self, sparse_topology,
-                                                  fd_duplex, qos_default):
-        mc = ec_lower_bound(sparse_topology, fd_duplex, qos_default, NOISE,
-                            2 * 10**5, 19)
-        quad = lb_by_quadrature(sparse_topology, fd_duplex, qos_default, NOISE)
-        assert mc.method == "lower_bound_analytic"
-        assert quad == pytest.approx(mc.ec, abs=4 * mc.std_error)
+                                                  fd_duplex, hd_duplex,
+                                                  qos_default):
+        for duplex in (fd_duplex, hd_duplex):
+            lb = ec_lower_bound(sparse_topology, duplex, qos_default, NOISE,
+                                2 * 10**5, 19)
+            quad = lb_by_quadrature(sparse_topology, duplex, qos_default, NOISE)
+            assert lb.method == "lower_bound_analytic"
+            assert lb.std_error == 0.0
+            assert quad == pytest.approx(lb.ec, rel=1e-6)
+
+    def test_monte_carlo_form_agrees(self, sparse_topology, fd_duplex,
+                                     qos_default):
+        # the Monte Carlo average the bound's rule replaces, at 10^6 draws
+        lb = ec_lower_bound(sparse_topology, fd_duplex, qos_default, NOISE,
+                            10**6, 29)
+        mc, mc_se = lb_by_monte_carlo(sparse_topology, fd_duplex, qos_default,
+                                      NOISE, 10**6, 29)
+        assert abs(mc - lb.ec) <= 4 * mc_se
+
+    def test_deterministic_and_draws_nothing(self, sparse_topology, fd_duplex,
+                                             qos_default, monkeypatch):
+        first = ec_lower_bound(sparse_topology, fd_duplex, qos_default, NOISE,
+                               10**4, 1)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the bound drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        for samples, seed in ((1, 2), (10**6, 0), (63, 41)):
+            assert ec_lower_bound(sparse_topology, fd_duplex, qos_default,
+                                  NOISE, samples, seed) == first
+        assert first.std_error == 0.0 and first.trials > 1000
 
     def test_beta_above_one_annotated(self, sparse_topology, fd_duplex):
         qos = QoSConfig(2e-2, 0.5e-3, 180e3)
@@ -545,7 +651,7 @@ class TestTaggedRadiusStrata:
     def test_each_trial_draws_from_its_stratum(self, sparse_topology,
                                                monkeypatch):
         # record the tagged radii that reach the signal's path loss, over a
-        # full chunk and a partial one, and in the bound's signal draws
+        # full chunk and a partial one
         radii = []
 
         def recorded(r, alpha):
@@ -556,12 +662,9 @@ class TestTaggedRadiusStrata:
         tagged = sparse_topology.tagged_cell
         n = capacity.CHUNK_TRIALS + 1808
         simulate_components(sparse_topology, P_UE, n, 3)
-        capacity._lb_signal_draws(sparse_topology, 1808, 3)
-        assert [len(r) for r in radii] == [capacity.CHUNK_TRIALS, 1808, 1808]
-        for r in (np.concatenate(radii[:2]), radii[2]):
-            u = (r / tagged.radius) ** 2
-            np.testing.assert_array_equal(np.floor(32 * u),
-                                          np.arange(len(u)) % 32)
+        assert [len(r) for r in radii] == [capacity.CHUNK_TRIALS, 1808]
+        u = (np.concatenate(radii) / tagged.radius) ** 2
+        np.testing.assert_array_equal(np.floor(32 * u), np.arange(len(u)) % 32)
 
     @pytest.mark.parametrize("n,strata", [(2, 32), (63, 32), (10**4, 1)])
     def test_one_stratum_reduces_as_plain_mean_and_std(self, rng, monkeypatch,
@@ -576,14 +679,15 @@ class TestTaggedRadiusStrata:
 
     @pytest.mark.parametrize("mode,exact,exact_se,bound,bound_se", [
         (DuplexMode.FD, 404.36841236001897, 22.010499543380156,
-         425.68242857969574, 29.54075627464885),
+         391.96097323791, 0.0),
         (DuplexMode.HD, 209.0502835979566, 11.275982980130637,
-         222.38133325678197, 15.584793400351)])
+         203.9004057367944, 0.0)])
     def test_small_runs_keep_unstratified_values(self, sparse_topology,
                                                  qos_default, mode, exact,
                                                  exact_se, bound, bound_se):
-        # values of the unstratified estimators at 63 trials; the tolerance
-        # only allows for libm differences between platforms
+        # values of the unstratified exact estimator at 63 trials, and of the
+        # deterministic bound; the tolerance only allows for libm differences
+        # between platforms
         duplex = DuplexConfig(mode, 1e-8 if mode is DuplexMode.FD else 0.0,
                               1.0, P_UE)
         got = [estimator(sparse_topology, duplex, qos_default, NOISE, 63, 41)

@@ -332,6 +332,9 @@ class TestCli:
         assert main(["sweep", "--scenario", str(silent),
                      "--out", str(tmp_path / "sweep.csv")]) == 1
         assert "HD capacity is 0 at eta" in capsys.readouterr().err
+        # a sweep that exits 1 leaves no output behind
+        assert not (tmp_path / "sweep.csv").exists()
+        assert not (tmp_path / "sweep.csv.meta.json").exists()
 
     def test_oversized_eta_grid_exit_code(self, tmp_path, capsys):
         assert main(["sweep", "--eta-step", "1e-7",
