@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,13 +161,17 @@ def _tagged_radius(radius: float, n: int, rng: np.random.Generator,
     return np.multiply(np.sqrt(u, out=u), radius, out=u)
 
 
-def _faded_sum(rng: np.random.Generator, d2: np.ndarray, alpha,
-               power) -> np.ndarray:
-    """Per-row sum of power * unit-mean fading * path-loss gain at ``d2``."""
-    h = rng.standard_exponential(size=d2.shape)
+def _faded_sum(rng: np.random.Generator, d2: np.ndarray, alpha, power,
+               h: np.ndarray, out: np.ndarray) -> None:
+    """Per-row sums into ``out`` of power * unit-mean fading * gain at ``d2``.
+
+    The fading is drawn into ``h``, of d2's shape, and the path-loss gains
+    overwrite ``d2``: a row block of the kernel allocates nothing here.
+    """
+    rng.standard_exponential(out=h)
     h *= power
-    h *= _path_loss_gain_sq(d2, alpha)
-    return h.sum(axis=1)
+    h *= _path_loss_gain_sq(d2, alpha, out=d2)
+    h.sum(axis=1, out=out)
 
 
 def _simulate_chunk(topology: NetworkTopology, ue_tx_power: float, seed: int,
@@ -189,6 +192,13 @@ def _simulate_chunk(topology: NetworkTopology, ue_tx_power: float, seed: int,
     row block of ``_BLOCK_ROWS`` trials builds its squared distances to all
     BSs once; rows are summed whole, so the output does not depend on the
     block length.
+
+    The chunk allocates one workspace: three float64 row-block buffers and
+    one float32 buffer for the sines. Every block writes its draws,
+    distances, gains and row sums in place, into views of the workspace or
+    into the chunk's outputs; the buffers of the BS half, viewed as
+    (rows, M - 1), serve the uplink half. A chunk's memory is then that of
+    its per-trial vectors and one workspace, whatever its block count.
     """
     rng, u_rng, v_rng, h_rng = (np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(_STREAM_TRIALS, chunk) + k))
@@ -204,26 +214,36 @@ def _simulate_chunk(topology: NetworkTopology, ue_tx_power: float, seed: int,
         * path_loss_gain(r_t, topology.alpha[t])
     ue_x, ue_y = disk_points_xy(topology.centers[t], r_t, th_t)
     i_bs, i_ue = np.empty(n), np.empty(n)
-    for a in range(0, n, _BLOCK_ROWS):
-        blk = slice(a, a + _BLOCK_ROWS)
-        d2 = ue_x[blk, None] - bs_xy[:, 0]     # squared distances to all BSs
+    m, rows = len(bs_power), min(_BLOCK_ROWS, n)
+    d2_buf, h_buf, rho_buf = np.empty((3, rows * m))    # one allocation
+    sine = np.empty(rows * (m - 1), dtype=np.float32)
+    for a in range(0, n, rows):
+        k = min(rows, n - a)
+        blk = slice(a, a + k)
+        d2, tmp = (buf[:k * m].reshape(k, m) for buf in (d2_buf, h_buf))
+        # (k, M - 1) views: the uplink's r and d2 reuse d2_buf, c and h h_buf
+        rho, r, c, h = (buf[:k * (m - 1)].reshape(k, m - 1)
+                        for buf in (rho_buf, d2_buf, h_buf, h_buf))
+        s = sine[:k * (m - 1)].reshape(k, m - 1)
+        np.subtract(ue_x[blk, None], bs_xy[:, 0], out=d2)   # to all BSs
         d2 *= d2
-        d2 += np.square(ue_y[blk, None] - bs_xy[:, 1])
-        rho = np.sqrt(d2[:, 1:])                # macro first, then the cells
-        i_bs[blk] = _faded_sum(rng, d2, bs_alpha, bs_power)
-        r = np.sqrt(u_rng.random(rho.shape))    # r = R sqrt(u)
+        d2 += np.square(np.subtract(ue_y[blk, None], bs_xy[:, 1], out=tmp),
+                        out=tmp)
+        np.sqrt(d2[:, 1:], out=rho)             # macro first, then the cells
+        _faded_sum(rng, d2, bs_alpha, bs_power, tmp, i_bs[blk])
+        np.sqrt(u_rng.random(out=r), out=r)     # r = R sqrt(u)
         r *= other_radius
-        s = v_rng.random(rho.shape, dtype=np.float32)
+        v_rng.random(dtype=np.float32, out=s)
         s *= np.float32(0.5 * np.pi)
         np.sin(s, out=s)
         s *= s                                  # sin^2(t/2), t = pi v
-        c = rho * s
+        np.multiply(rho, s, out=c)
         c *= r
         c *= 4.0                                # 4 rho r sin^2(t/2)
-        d2 = rho - r
+        d2 = np.subtract(rho, r, out=r)
         d2 *= d2
         d2 += c
-        i_ue[blk] = _faded_sum(h_rng, d2, other_alpha, ue_tx_power)
+        _faded_sum(h_rng, d2, other_alpha, ue_tx_power, h, i_ue[blk])
     return signal, i_bs, i_ue
 
 
@@ -246,6 +266,8 @@ def simulate_components(topology: NetworkTopology, ue_tx_power: float,
     run = functools.partial(_simulate_chunk, topology, ue_tx_power, seed)
     sizes = _chunk_sizes(trials)
     if workers > 1 and len(sizes) > 1:
+        # imported here: the pool module costs ~2 MB and ~18 ms to load
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, range(len(sizes)), sizes, chunksize=1))
     else:

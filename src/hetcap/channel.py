@@ -84,12 +84,13 @@ def path_loss_gain(distance, alpha: float):
     return gain
 
 
-def _path_loss_gain_sq(dist_sq, alpha):
+def _path_loss_gain_sq(dist_sq, alpha, out=None):
     """``path_loss_gain`` from squared distances: max(d^2, D_MIN^2)^(-alpha/2).
 
-    Saves the square root of every distance.
+    Saves the square root of every distance. With ``out``, which may be
+    ``dist_sq`` itself, the gains are written there and no array is made.
     """
-    gain = np.maximum(dist_sq, D_MIN * D_MIN)
+    gain = np.maximum(dist_sq, D_MIN * D_MIN, out=out)
     return np.power(gain, -0.5 * alpha, out=gain)
 
 

@@ -65,13 +65,23 @@ def ray_angle(v) -> np.ndarray:
 
 
 class _FixedDraws:
-    """Generator stand-in: every uniform draw is 0.25, every fading draw 1."""
+    """Generator stand-in: every uniform draw is 0.25, every fading draw 1.
 
-    def random(self, size, dtype=np.float64):
-        return np.full(size, 0.25, dtype=dtype)
+    Like ``np.random.Generator``, it fills ``out`` in place when given one.
+    """
 
-    def standard_exponential(self, size):
-        return np.ones(size)
+    @staticmethod
+    def _fill(value, size, dtype, out):
+        if out is None:
+            return np.full(size, value, dtype=dtype)
+        out[...] = value
+        return out
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self._fill(0.25, size, dtype, out)
+
+    def standard_exponential(self, size=None, out=None):
+        return self._fill(1.0, size, np.float64, out)
 
 
 @pytest.fixture

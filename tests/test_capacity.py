@@ -1,5 +1,10 @@
 import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -617,8 +622,9 @@ class TestBlockedKernel:
         assert stats.ks_2samp(got, want).pvalue > 0.01
 
     def test_chunk_peak_memory(self, dense_topology):
-        # a full chunk at M=157 holds per-trial vectors and cache-sized row
-        # blocks only: no (trials, cells) array, the uplink uniforms included
+        # a full chunk at M=157 holds per-trial vectors and one row-block
+        # workspace only: no (trials, cells) array, and no temporaries per
+        # block; the kernel that allocated them per block peaked at 2.62 MB
         m = len(dense_topology.centers)
         assert m == 157
         n = capacity.CHUNK_TRIALS
@@ -628,7 +634,38 @@ class TestBlockedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= n * m * 8 // 2
+        assert peak <= 2_700_000
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts minor page faults with getrusage")
+    def test_chunks_take_no_page_faults(self):
+        # the row blocks write into one workspace per chunk, so once the
+        # heap holds it a chunk touches no new page; the kernel that
+        # allocated per block took ~6,000 minor faults per chunk here. The
+        # first chunk maps its workspace and the second grows the heap to
+        # hold it, so two chunks warm up; no scipy, which moves the heap
+        code = textwrap.dedent("""
+            import math, resource, sys
+            from hetcap import Region, capacity, sample_matern_hcpp
+            topology = sample_matern_hcpp(
+                Region(1000.0), 157 / math.pi * 1e-6, 50.0, 25.0, 50,
+                cell_power=%r, alpha=3.0, macro_power=%r)
+            assert len(topology.centers) == 157
+            faults = []
+            for chunk in range(5):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                capacity._simulate_chunk(topology, %r, 1, chunk, 8192)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                              - before)
+            assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
+            print(*faults[2:])
+            """) % (P_PICO, P_MACRO, P_UE)
+        src = str(pathlib.Path(capacity.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True).stdout
+        faults = [int(f) for f in out.split()]
+        assert len(faults) == 3 and max(faults) < 50, faults
 
 
 class TestOneTrial:
