@@ -643,7 +643,8 @@ class TestBlockedKernel:
         # heap holds it a chunk touches no new page; the kernel that
         # allocated per block took ~6,000 minor faults per chunk here. The
         # first chunk maps its workspace and the second grows the heap to
-        # hold it, so two chunks warm up; no scipy, which moves the heap
+        # hold it, so two chunks warm up. The child imports no scipy, whose
+        # import leaves the heap in another state
         code = textwrap.dedent("""
             import math, resource, sys
             from hetcap import Region, capacity, sample_matern_hcpp
