@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,8 +269,6 @@ def simulate_components(topology: NetworkTopology, ue_tx_power: float,
     run = functools.partial(_simulate_chunk, topology, ue_tx_power, seed)
     sizes = _chunk_sizes(trials)
     if workers > 1 and len(sizes) > 1:
-        # imported here: the pool module costs ~2 MB and ~18 ms to load
-        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, range(len(sizes)), sizes, chunksize=1))
     else:
