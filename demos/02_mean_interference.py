@@ -2,10 +2,11 @@
 
 The library averages path loss over a disk of victim positions exactly,
 d^-alpha 2F1(alpha/2, alpha/2; 2; R^2/d^2); the paper truncates that average
-to three Taylor terms. This script shows both against the adaptive
-quadrature oracle across separations, the exact UE-to-UE mean and the
-paper's composition against a double Monte Carlo average, and a full
-per-interferer breakdown.
+to three Taylor terms. This script shows both against the quadrature
+oracle across separations (numpy only: a Gauss-Legendre rule over the angle
+about the interferer, with the radial integral in closed form), the exact
+UE-to-UE mean and the paper's composition against a double Monte Carlo
+average, and a full per-interferer breakdown.
 """
 import math
 

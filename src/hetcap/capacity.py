@@ -29,7 +29,7 @@ import numpy as np
 from .channel import (D_MIN, DuplexConfig, DuplexMode, QoSConfig,
                       _duplex_terms, _path_loss_gain_sq, path_loss_gain)
 from .geometry import NetworkTopology, disk_points_xy
-from .interference import total_mean_interference
+from .interference import _gauss_legendre, total_mean_interference
 
 #: Trials per RNG substream; fixed so results never depend on worker count.
 CHUNK_TRIALS = 8192
@@ -69,25 +69,6 @@ _LOG_TERM_FLOOR = -700.0
 #: Fading terms per block of a batched bound: 128 KB blocks stay on glibc's
 #: heap, below its default mmap threshold, and are reused block to block.
 _BOUND_BLOCK_TERMS = 16_000
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], ascending.
-
-    Newton's method on the Legendre polynomial P_n, elementwise: LAPACK's
-    eigensolver would add ~0.9 MB of resident memory to the import.
-    """
-    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(100):
-        p_prev, p = np.ones(n), x
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        slope = n * (x * p - p_prev) / (x * x - 1.0)    # P_n'(x)
-        step = p / slope
-        if np.abs(step).max() < 1e-15:      # converged quadratically
-            return x, 2.0 / ((1.0 - x * x) * slope * slope)
-        x = x - step
-    raise ArithmeticError(f"{n}-point Gauss-Legendre nodes did not converge")
 
 
 #: Gauss-Legendre rule of each panel in ln u, for the tagged UE's

@@ -215,6 +215,8 @@ def _cmd_limits(args) -> int:
                                          cfg.noise_watts)
         rate = capacity.mean_rate_from_components(components, duplex, qos,
                                                   cfg.noise_watts)
+        if rate == 0:
+            raise ValueError(f"{mode} mean rate is 0: no loose-QoS limit to check")
         rel = abs(ec.ec - rate) / rate
         worst = max(worst, rel)
         print(f"{mode}: EC(theta=1e-6) = {ec.ec:.3f}, mean rate = {rate:.3f} "

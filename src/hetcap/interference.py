@@ -12,8 +12,8 @@ with numpy alone; its term cap makes both raise within ~0.1% of touching.
 
 ``mean_pathloss_taylor`` keeps the paper's three-term truncation of the
 2F1 form as the reproduced formula; it underestimates the mean. The
-quadrature oracle evaluates the disk average directly and is independent of
-the series; it alone needs scipy.
+quadrature oracle, a 1-D rule, evaluates the disk average directly and is
+independent of the series.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ class TaylorAccuracyWarning(UserWarning):
 
 
 class QuadratureDomainError(ValueError):
-    """The disk-average integral diverges or exceeds the quadrature budget."""
+    """The disk-average integral diverges: d <= R at alpha >= 2."""
 
 
 def mean_pathloss_taylor(d: float, cell_radius: float, alpha: float) -> float:
@@ -64,32 +64,64 @@ def mean_pathloss_taylor(d: float, cell_radius: float, alpha: float) -> float:
     return d ** (-alpha) * bracket
 
 
-def mean_pathloss_numeric(d: float, cell_radius: float, alpha: float) -> float:
-    """Disk-averaged path loss by adaptive 2-D quadrature in polar form.
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], ascending; cached, read-only.
 
-    Evaluates (1/(pi R^2)) * int_0^2pi int_0^R (d^2 + r^2 - 2 d r cos t)^(-alpha/2)
-    r dr dt to relative tolerance 1e-8. Validation oracle for the
-    closed forms; independent of them.
+    Newton's method on the Legendre polynomial P_n, elementwise: LAPACK's
+    eigensolver would add ~0.9 MB of resident memory to the import.
     """
-    if d <= 0:
-        raise ValueError("d must be > 0")
-    if cell_radius < 0:
-        raise ValueError("cell_radius must be >= 0")
+    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones(n), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        slope = n * (x * p - p_prev) / (x * x - 1.0)    # P_n'(x)
+        step = p / slope
+        if np.abs(step).max() < 1e-15:      # converged quadratically
+            return _readonly(x), _readonly(2.0 / ((1.0 - x * x) * slope * slope))
+        x = x - step
+    raise ArithmeticError(f"{n}-point Gauss-Legendre nodes did not converge")
+
+
+def mean_pathloss_numeric(d: float, cell_radius: float, alpha: float) -> float:
+    """Disk-averaged path loss by a 1-D quadrature about the interferer.
+
+    A ray's radial integral of rho^(1-alpha) has a closed form, and its entry
+    and exit distances multiply to d^2 - R^2. Outside the disk sin(phi) =
+    (R/d) sin(psi) smooths the tangent rays; inside (alpha < 2) each node adds
+    a ray and its opposite; d = R is a Beta integral. 256 Gauss-Legendre
+    nodes agree with mpmath to 1.6e-14 for d/R >= 1.000001 and 8e-16 for
+    d/R <= 0.99999 (~5e-7 within 1e-6 R of the edge at 1 < alpha < 2).
+    """
+    if not (d > 0 and cell_radius >= 0):
+        raise ValueError(f"need d > 0 and cell_radius >= 0; got {d}, {cell_radius}")
     if cell_radius == 0:
         return d ** (-alpha)
     if d <= cell_radius and alpha >= 2:
         raise QuadratureDomainError(
             f"victim disk contains the interferer (d={d} <= R={cell_radius}); "
             "the disk average diverges for alpha >= 2")
-
-    from scipy import integrate  # only this oracle needs it; slow to import
-
-    def integrand(r, t):
-        return (d * d + r * r - 2.0 * d * r * np.cos(t)) ** (-alpha / 2.0) * r
-
-    value, _ = integrate.dblquad(integrand, 0.0, 2.0 * np.pi, 0.0, cell_radius,
-                                 epsabs=0.0, epsrel=1e-8)
-    return value / (np.pi * cell_radius**2)
+    r, beta = cell_radius, 2.0 - alpha
+    if d == r:                      # chords 2R cos(phi) for |phi| < pi/2
+        return (2.0**beta * math.gamma(0.5 + beta / 2.0) / r**alpha
+                / (math.sqrt(math.pi) * beta * math.gamma(1.0 + beta / 2.0)))
+    x, weights = _gauss_legendre(256)               # ~4 ms on first use
+    angle, power = np.pi / 4.0 * (x + 1.0), (d - r) * (d + r)   # on [0, pi/2]
+    if d > r:
+        sin_phi = (r / d) * np.sin(angle)
+        cos_phi = np.sqrt((1.0 - sin_phi) * (1.0 + sin_phi))
+        half_chord = r * np.cos(angle)
+        near = power / (d * cos_phi + half_chord)
+        radial = np.log1p(2.0 * half_chord / near)          # ln(far/near)
+        if beta:
+            radial = near**beta * np.expm1(beta * radial) / beta
+        integrand = radial * half_chord / (d * cos_phi)
+    else:
+        s = d * np.sin(angle)
+        far = d * np.cos(angle) + np.sqrt((r - s) * (r + s))
+        integrand = (far**beta + (-power / far) ** beta) / beta
+    return float(weights @ integrand) / (2.0 * r * r)
 
 
 #: Hard cap on the series length, reached only for disks within ~0.1% of

@@ -23,6 +23,7 @@ from hetcap import (DuplexConfig, DuplexMode, ECEstimate, MacroBS,
 from hetcap import capacity
 from hetcap.channel import path_loss_gain
 from hetcap.geometry import disk_points_xy, sample_uniform_disk_batch
+from hetcap.interference import _gauss_legendre
 
 
 class TestG:
@@ -255,14 +256,17 @@ class TestFadingAverage:
         with np.errstate(all="raise"):
             assert capacity._fading_average(0.0, 0.5) == pytest.approx(1.0, abs=1e-15)
 
-    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("n", [1, 2, 16, 256])
     def test_gauss_legendre_matches_numpy(self, n):
         from numpy.polynomial.legendre import leggauss
 
-        nodes, weights = capacity._gauss_legendre(n)
+        nodes, weights = _gauss_legendre(n)
         want_nodes, want_weights = leggauss(n)
         np.testing.assert_allclose(nodes, want_nodes, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(weights, want_weights, rtol=1e-13)
+        # at n = 256 numpy's weights are 2.1e-11 off a 40-digit rule, and
+        # these 6.9e-13
+        np.testing.assert_allclose(weights, want_weights,
+                                   rtol=1e-13 if n <= 16 else 1e-10)
 
     @pytest.mark.parametrize("radius,alpha", [(0.5, 3.0), (1.0, 3.0),
                                               (90.0, 3.0), (4000.0, 5.0),

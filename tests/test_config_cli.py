@@ -336,6 +336,14 @@ class TestCli:
         assert not (tmp_path / "sweep.csv").exists()
         assert not (tmp_path / "sweep.csv.meta.json").exists()
 
+    def test_silent_tagged_cell_limits_exit_code(self, tmp_path, capsys):
+        # a silent tagged cell has mean rate 0, so the loose-QoS limit
+        # EC/rate is 0/0: a validation failure, not a runtime error
+        silent = tmp_path / "silent.txt"
+        silent.write_text("pico_power_dbm = -inf\ntrials = 200\n")
+        assert main(["limits", "--scenario", str(silent)]) == 1
+        assert "mean rate is 0" in capsys.readouterr().err
+
     def test_oversized_eta_grid_exit_code(self, tmp_path, capsys):
         assert main(["sweep", "--eta-step", "1e-7",
                      "--out", str(tmp_path / "sweep.csv")]) == 1
@@ -380,9 +388,9 @@ class TestCli:
         assert "deployment 10:" in out
 
     def test_import_leaves_integrate_and_optimize_unloaded(self, tmp_path):
-        # scipy takes ~0.4 s to import; only the quadrature oracle of
-        # ``hetcap validate`` needs it, so the import, a README sweep and
-        # ``generate`` load no scipy module at all
+        # scipy takes ~0.4 s to import and no command needs it: the import,
+        # a README sweep, ``generate`` and ``validate`` (whose oracle is
+        # numpy quadrature) load no scipy module at all
         import hetcap
 
         code = ("import sys, hetcap, hetcap.cli\n"
@@ -390,6 +398,7 @@ class TestCli:
                 "assert main(['sweep', '--eta-from', '-80', '--eta-to', '0', "
                 "'--eta-step', '2.5', '--out', 'sweep.csv']) == 0\n"
                 "assert main(['generate', '--out', 'topology.txt']) == 0\n"
+                "assert main(['validate', '--trials', '500']) == 0\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         src = str(pathlib.Path(hetcap.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}

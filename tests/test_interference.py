@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,53 @@ class TestQuadratureOracle:
             mean_pathloss_numeric(0.0, 90.0, 3.0)
         with pytest.raises(ValueError):
             mean_pathloss_numeric(500.0, -1.0, 3.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("ratio", [1.001, 1.01, 1.1, 2.0, 10.0])
+    def test_matches_mpmath_outside_the_disk(self, alpha, ratio):
+        oracle = _mp_disk_mean(ratio * 90.0, 0.0, 90.0, alpha)
+        with np.errstate(all="raise"):
+            value = mean_pathloss_numeric(ratio * 90.0, 90.0, alpha)
+        assert abs(value - oracle) <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    def test_inside_the_disk_is_finite(self, alpha):
+        # the disk average is finite for alpha < 2 wherever the point is;
+        # near the centre it tends to the centred mean 2 R^-alpha/(2 - alpha)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            values = [mean_pathloss_numeric(d, 90.0, alpha)
+                      for d in (81.0, 45.0, 90e-6)]
+        assert all(math.isfinite(v) and v > 0 for v in values)
+        centred = 2.0 * 90.0**-alpha / (2.0 - alpha)
+        assert abs(values[2] - centred) <= 1e-12 * centred
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9])
+    @pytest.mark.parametrize("d", [45.0, 81.0])
+    def test_inside_the_disk_agrees_with_monte_carlo(self, rng, alpha, d):
+        # x^-alpha has a finite variance over the disk for alpha < 1
+        n = 10**6
+        r = 90.0 * np.sqrt(rng.random(n))
+        t = 2 * math.pi * rng.random(n)
+        samples = np.hypot(r * np.cos(t) - d, r * np.sin(t)) ** -alpha
+        se = samples.std(ddof=1) / math.sqrt(n)
+        assert abs(mean_pathloss_numeric(d, 90.0, alpha) - samples.mean()) < 4 * se
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    def test_on_the_disk_edge(self, alpha):
+        # at d = R the chord at angle phi from the diameter is 2R cos(phi);
+        # mpmath integrates it (as 2R sin, from the tangent) against a
+        # closed form that lies between the values just inside and just
+        # outside the disk, as the mean falls with d
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(25):
+            b = 2 - mp.mpf(alpha)
+            oracle = float(2 * mp.quad(lambda p: (180 * mp.sin(p)) ** b / b,
+                                       [0, mp.pi / 2]) / (mp.pi * 90**2))
+        value = mean_pathloss_numeric(90.0, 90.0, alpha)
+        assert abs(value - oracle) <= 1e-13 * oracle
+        assert (mean_pathloss_numeric(90.0 * (1 - 1e-6), 90.0, alpha) > value
+                > mean_pathloss_numeric(90.0 * (1 + 1e-6), 90.0, alpha))
 
 
 class TestTaylorVsOracle:
