@@ -6,11 +6,12 @@ logs reproduce the bits-per-block definition. The lower bound freezes the
 interference at its mean; the one remaining expectation, over the tagged
 link's Rayleigh fading and the tagged UE's radius, is a fixed quadrature
 rule, so the bound draws no random numbers and has no standard error. The
-network size enters its cost through one O(M) mean per duplex mode.
+network size enters its cost through one O(M) mean per UE power.
 
 The exact estimator stratifies the tagged UE's u = r^2/R^2: trial g draws
 it from bin g mod K of K equal-probability bins, and the reduction averages
-the bin means, with the stratified delta-method standard error.
+the bin means, with the stratified delta-method standard error. Its trial
+kernel takes link distances and path-loss gains alone in float32.
 
 Trials are split into fixed-size chunks, each with an RNG substream keyed by
 (seed, chunk index) and, for the uplink UEs' draws, three more keyed by
@@ -147,8 +148,9 @@ def _faded_sum(rng: np.random.Generator, d2: np.ndarray, alpha, power,
                h: np.ndarray, out: np.ndarray) -> None:
     """Per-row sums into ``out`` of power * unit-mean fading * gain at ``d2``.
 
-    The fading is drawn into ``h``, of d2's shape, and the path-loss gains
-    overwrite ``d2``: a row block of the kernel allocates nothing here.
+    The fading is drawn into ``h``, a float64 array of d2's shape, and the
+    path-loss gains overwrite ``d2``, float32: a row block of the kernel
+    allocates nothing here, and its products and sums are float64.
     """
     rng.standard_exponential(out=h)
     h *= power
@@ -168,26 +170,36 @@ def _simulate_chunk(topology: NetworkTopology, ue_tx_power: float, seed: int,
     from the ray from its cell centre toward the tagged UE, on [0, pi): the
     distance depends on t only through cos t, whose law is the same as for a
     global angle. With rho = |tagged UE - centre|, the squared distance
-    (rho - r)^2 + 4 rho r sin^2(t/2) is never negative and costs one sine,
-    taken in float32: v is uniform on 2^24 points and sin^2(t/2) lies within
-    3.5e-7 of its float64 value, relative; everything else is float64. Each
-    row block of ``_BLOCK_ROWS`` trials builds its squared distances to all
-    BSs once; rows are summed whole, so the output does not depend on the
-    block length.
+    (rho - r)^2 + 4 rho r sin^2(t/2) is never negative and costs one sine.
+    Each row block of ``_BLOCK_ROWS`` trials builds its squared distances to
+    all BSs once; rows are summed whole, so the output does not depend on
+    the block length.
 
-    The chunk allocates one workspace: three float64 row-block buffers and
-    one float32 buffer for the sines. Every block writes its draws,
-    distances, gains and row sums in place, into views of the workspace or
-    into the chunk's outputs; the buffers of the BS half, viewed as
-    (rows, M - 1), serve the uplink half. A chunk's memory is then that of
-    its per-trial vectors and one workspace, whatever its block count.
+    Precision: draws (v is uniform on 2^24 float32 points), the tagged UE,
+    the signal, the power * fading * gain products and the row sums are
+    float64; the link arithmetic, from the squared coordinate differences
+    (taken in float64, then rounded) to the gains, is float32. Per trial,
+    the BS and UE interference then lie within 1e-6 of a float64
+    evaluation of the same draws, relative, wherever every gain is a normal
+    float32 (>= 1.2e-38, i.e. alpha log10(d / 1 m) < 38; a link below it
+    carries < 1.2e-38 P watts) and alpha/2 is a float32 number, as 1.5 is.
+    Else the rounded exponent adds up to |alpha/2 - float32(alpha/2)|
+    ln(d^2 / 1 m^2): 6e-7 at alpha = 3.6 and d = 500 m.
+
+    The chunk allocates one workspace: one float64 row-block buffer, for
+    the coordinate differences and then the draws, and three float32 ones.
+    Every block writes in place, into views of the workspace or into the
+    chunk's outputs; the BS half's buffers, viewed as (rows, M - 1), serve
+    the uplink half. A chunk's memory is then that of its per-trial
+    vectors and one workspace, whatever its block count.
     """
     rng, u_rng, v_rng, h_rng = (np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(_STREAM_TRIALS, chunk) + k))
         for k in ((), (1,), (2,), (3,)))
     t, others = topology._tagged(), topology.others
     bs_xy, bs_power, bs_alpha = topology.interfering_bs
-    other_radius, other_alpha = topology.radius[others], topology.alpha[others]
+    other_radius = topology.radius[others].astype(np.float32)
+    other_alpha = topology.alpha[others]
     # the run's trial count if this chunk is its last, and larger otherwise
     r_t = _tagged_radius(topology.radius[t], n, rng,
                          _strata(chunk * CHUNK_TRIALS + n))
@@ -197,37 +209,38 @@ def _simulate_chunk(topology: NetworkTopology, ue_tx_power: float, seed: int,
     ue_x, ue_y = disk_points_xy(topology.centers[t], r_t, th_t)
     i_bs, i_ue = np.empty(n), np.empty(n)
     m, rows = len(bs_power), min(_BLOCK_ROWS, n)
-    # one allocation: as three, the heap was trimmed and grown again chunk
-    # after chunk (~300 minor page faults per chunk at M=157)
-    d2_buf, h_buf, rho_buf = np.empty((3, rows * m))
-    sine = np.empty(rows * (m - 1), dtype=np.float32)
+    # one allocation: as two, the heap was trimmed and grown again chunk
+    # after chunk (~210 minor page faults per chunk at M=157)
+    work = np.empty(5 * rows * m, dtype=np.float32)
+    draws = work[:2 * rows * m].view(np.float64)
+    d2_buf, s_buf, rho_buf = work[2 * rows * m:].reshape(3, rows * m)
     for a in range(0, n, rows):
         k = min(rows, n - a)
         blk = slice(a, a + k)
-        d2, tmp = (buf[:k * m].reshape(k, m) for buf in (d2_buf, h_buf))
-        # (k, M - 1) views: the uplink's r and d2 reuse d2_buf, c and h h_buf
-        rho, r, c, h = (buf[:k * (m - 1)].reshape(k, m - 1)
-                        for buf in (rho_buf, d2_buf, h_buf, h_buf))
-        s = sine[:k * (m - 1)].reshape(k, m - 1)
-        np.subtract(ue_x[blk, None], bs_xy[:, 0], out=d2)   # to all BSs
-        d2 *= d2
-        d2 += np.square(np.subtract(ue_y[blk, None], bs_xy[:, 1], out=tmp),
+        h, d2, tmp = (buf[:k * m].reshape(k, m)
+                      for buf in (draws, d2_buf, s_buf))
+        # (k, M - 1) views: the uplink's fading reuses draws, r and d2 d2_buf
+        h_ue, rho, r, s = (buf[:k * (m - 1)].reshape(k, m - 1)
+                           for buf in (draws, rho_buf, d2_buf, s_buf))
+        # to all BSs: float64 differences, squared and rounded to float32
+        np.square(np.subtract(ue_x[blk, None], bs_xy[:, 0], out=h), out=d2)
+        d2 += np.square(np.subtract(ue_y[blk, None], bs_xy[:, 1], out=h),
                         out=tmp)
         np.sqrt(d2[:, 1:], out=rho)             # macro first, then the cells
-        _faded_sum(rng, d2, bs_alpha, bs_power, tmp, i_bs[blk])
-        np.sqrt(u_rng.random(out=r), out=r)     # r = R sqrt(u)
-        r *= other_radius
+        _faded_sum(rng, d2, bs_alpha, bs_power, h, i_bs[blk])
+        np.sqrt(u_rng.random(out=h_ue), out=r, dtype=np.float32)
+        r *= other_radius                       # r = R sqrt(u)
         v_rng.random(dtype=np.float32, out=s)
         s *= np.float32(0.5 * np.pi)
         np.sin(s, out=s)
         s *= s                                  # sin^2(t/2), t = pi v
-        np.multiply(rho, s, out=c)
-        c *= r
-        c *= 4.0                                # 4 rho r sin^2(t/2)
+        s *= rho
+        s *= r
+        s *= 4.0                                # 4 rho r sin^2(t/2)
         d2 = np.subtract(rho, r, out=r)
         d2 *= d2
-        d2 += c
-        _faded_sum(h_rng, d2, other_alpha, ue_tx_power, h, i_ue[blk])
+        d2 += s
+        _faded_sum(h_rng, d2, other_alpha, ue_tx_power, h_ue, i_ue[blk])
     return signal, i_bs, i_ue
 
 
@@ -408,19 +421,25 @@ def _lb_over_duplexes(topology: NetworkTopology, duplexes: list[DuplexConfig],
                       qos: QoSConfig, noise: float) -> list[ECEstimate]:
     """``ec_lower_bound`` for each of ``duplexes``, sharing the eta-free work.
 
-    The exact mean interference is computed once per (duplex mode, UE
-    power); the signal expectation of every duplex is one batched rule.
-    The bound is guaranteed while the kernel's exponent share * beta is at
-    most 1, so half duplex keeps it up to twice ``qos.theta_bound``.
+    The exact mean interference is computed once per UE power, in full
+    duplex if any duplex of that power is: half duplex sums its BS terms.
+    The signal expectation of every duplex is one batched rule. The bound
+    is guaranteed while the kernel's exponent share * beta is at most 1,
+    so half duplex keeps it up to twice ``qos.theta_bound``.
     """
-    means: dict[tuple, float] = {}
+    fd = {d.ue_tx_power: d for d in duplexes if d.mode is DuplexMode.FD}
+    series, means = {}, {}
     denoms, exponents = [], []
     for duplex in duplexes:
-        key = (duplex.mode, duplex.ue_tx_power)
-        if key not in means:
-            means[key] = total_mean_interference(topology, duplex).total
+        mode, power = duplex.mode, duplex.ue_tx_power
+        if (mode, power) not in means:
+            if power not in series:     # HD alone skips the uplink series
+                series[power] = total_mean_interference(
+                    topology, fd.get(power, duplex))
+            means[mode, power] = (series[power].total if mode is DuplexMode.FD
+                                  else sum(series[power].per_bs.tolist()))
         _, rsi, share = _duplex_terms(duplex)
-        denoms.append(means[key] + (rsi + noise))
+        denoms.append(means[mode, power] + (rsi + noise))
         exponents.append(share * qos.beta)
     z, nodes = _signal_average(topology, np.array(denoms), np.array(exponents))
     return [ECEstimate(max(-math.log(z_mean) / qos.theta, 0.0), 0.0,

@@ -89,9 +89,11 @@ def _path_loss_gain_sq(dist_sq, alpha, out=None):
 
     Saves the square root of every distance. With ``out``, which may be
     ``dist_sq`` itself, the gains are written there and no array is made.
+    The exponent takes the gains' dtype: float32 squared distances get
+    float32 ``pow``, not numpy's float64 loop rounded.
     """
     gain = np.maximum(dist_sq, D_MIN * D_MIN, out=out)
-    return np.power(gain, -0.5 * alpha, out=gain)
+    return np.power(gain, -0.5 * np.asarray(alpha, gain.dtype), out=gain)
 
 
 def _duplex_terms(duplex: DuplexConfig) -> tuple[bool, float, float]:

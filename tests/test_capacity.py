@@ -16,8 +16,8 @@ from conftest import (NOISE, P_MACRO, P_PICO, P_UE, g, g_is_concave,
                       g_second_derivative, ray_angle)
 
 from hetcap import (DuplexConfig, DuplexMode, ECEstimate, MacroBS,
-                    NetworkTopology, QoSConfig, Region, ec_exact_mc,
-                    ec_from_components, ec_lower_bound,
+                    NetworkTopology, QoSConfig, Region, TaylorValidityError,
+                    ec_exact_mc, ec_from_components, ec_lower_bound,
                     mean_rate_from_components, sample_matern_hcpp,
                     simulate_components, total_mean_interference)
 from hetcap import capacity
@@ -120,7 +120,12 @@ class TestExactMonteCarlo:
         sinr_det = s / (i + fd_duplex.eta * P_UE + NOISE)
         z = (1.0 + sinr_det) ** -qos_default.beta
         expected = -math.log(z.mean()) / qos_default.theta
-        assert estimate.ec == pytest.approx(expected, rel=1e-12)
+        # float32 link arithmetic moves each interference sum I by a
+        # relative e <= 1e-6, so D = I + RSI + noise by at most e and
+        # ln z = -beta ln(1 + s/D) by at most beta e; EC = -ln(mean z)/theta
+        # then moves by at most (beta / theta) e, ~1.3e-4 bits here
+        tolerance = qos_default.beta / qos_default.theta * 1e-6
+        assert estimate.ec == pytest.approx(expected, abs=tolerance)
         assert estimate.std_error < 1e-9  # summation noise on identical draws
 
     def test_theta_monotone(self, sparse_topology, fd_duplex):
@@ -291,6 +296,18 @@ class TestLowerBound:
         margin = 3 * math.hypot(exact.std_error, lb.std_error)
         assert lb.ec <= exact.ec + margin
 
+    def test_half_duplex_skips_the_uplink_series(self, hd_duplex, fd_duplex,
+                                                 qos_default):
+        # a cell 0.006% from touching the tagged disk: its uplink UE's mean
+        # is past the series' term cap, its BS's is not
+        topology = NetworkTopology(MacroBS((0.0, 500.0), P_MACRO, 3.0),
+                                   [(0.0, 0.0), (180.01, 0.0)], 90.0, P_PICO,
+                                   3.0, 180.0, 0, Region(1000.0))
+        with pytest.raises(TaylorValidityError, match="touching"):
+            ec_lower_bound(topology, fd_duplex, qos_default, NOISE, 1, 1)
+        hd = ec_lower_bound(topology, hd_duplex, qos_default, NOISE, 1, 1)
+        assert hd.ec > 0
+
     def test_equality_for_degenerate_draws(self, single_cell_topology,
                                            fd_duplex, qos_default, fixed_draws,
                                            monkeypatch):
@@ -450,6 +467,25 @@ class TestSquaredDistanceKernel:
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
         np.testing.assert_array_equal(got[self.D2[:, 0] <= 1.0], 1.0)
 
+    @pytest.mark.parametrize("alpha", [3.0, np.array([3.5, 3.0, 3.0])],
+                             ids=["scalar", "float64-array"])
+    def test_float32_distances_take_float32_pow(self, alpha):
+        # a float64 exponent would run numpy's float64 pow and round it: the
+        # gains must be those of the float32 loop, within 3e-7 of float64
+        # (alpha/2 here is a float32 number; a rounded one adds
+        # |alpha/2 - float32(alpha/2)| ln d^2)
+        from hetcap.channel import _path_loss_gain_sq
+
+        d2 = np.repeat(np.concatenate((self.D2[:, 0], np.logspace(
+            -3, 12, 1000)))[:, None], 3, axis=1).astype(np.float32)
+        got = _path_loss_gain_sq(d2, alpha)
+        assert got.dtype == np.float32
+        exponent = (-0.5 * np.asarray(alpha)).astype(np.float32)
+        np.testing.assert_array_equal(
+            got, np.power(np.maximum(d2, np.float32(1.0)), exponent))
+        want = _path_loss_gain_sq(d2.astype(float), alpha)
+        np.testing.assert_allclose(got, want, rtol=3e-7, atol=0.0)
+
     def test_components_match_cartesian_oracle(self, fixed_draws):
         # pinned UEs and unit fading: every link has one Cartesian length,
         # and the macro's exponent differs from the cells'
@@ -476,9 +512,12 @@ class TestSquaredDistanceKernel:
         i_bs = macro.power * gain(victim, macro.position, macro.alpha) \
             + sum(power[k] * gain(victim, centers[k], 3.0) for k in (1, 2))
         i_ue = sum(P_UE * gain(victim, uplink_ue(k), 3.0) for k in (1, 2))
-        for got, want in ((comp.signal, signal), (comp.bs_interference, i_bs),
+        # float64 signal; float32 links within the kernel's 1e-6 contract,
+        # which the macro's rounded alpha/2 = 1.8 still meets at 400 m
+        np.testing.assert_allclose(comp.signal, signal, rtol=1e-12, atol=0.0)
+        for got, want in ((comp.bs_interference, i_bs),
                           (comp.ue_interference, i_ue)):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -490,42 +529,43 @@ def dense_topology() -> NetworkTopology:
 
 
 def replay_chunk(topology, ue_tx_power: float, seed: int, chunk: int, n: int,
-                 float32_sine: bool = True):
+                 float32: bool = True):
     """Chunk ``chunk`` of ``n`` trials, every draw made whole in stream order.
 
     Main stream (seed, chunk): tagged u (trial i in stratum i mod 32), tagged
     angle, signal fading, BS fading (n, M); BS links in the global frame.
     Substreams (seed, chunk, 1..3): uplink u, float32 v and UE fading, each
-    (n, M-1); UE links in the ray frame, in the kernel's operation order,
-    with sin^2(pi v / 2) in float32 or, if not ``float32_sine``, in float64.
+    (n, M-1); UE links in the ray frame, in the kernel's operation order.
+    The link arithmetic, from the coordinate differences and sin^2(pi v / 2)
+    to the gains, is float32 as in the kernel or, if not ``float32``,
+    float64; draws, products and sums are float64 either way.
     """
     rng, u_rng, v_rng, h_rng = (np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(0, chunk) + k))
         for k in ((), (1,), (2,), (3,)))
     t, others = topology.tagged_index, topology.others
     bs_xy, bs_power, bs_alpha = topology.interfering_bs
+    link = np.float32 if float32 else np.float64
     u = (np.arange(n) % 32 + rng.random(n)) / 32
     r_t = topology.radius[t] * np.sqrt(u)
     th_t = 2.0 * np.pi * rng.random(n)
     signal = topology.power[t] * rng.exponential(size=n) \
         * path_loss_gain(r_t, topology.alpha[t])
     x, y = disk_points_xy(topology.centers[t], r_t, th_t)
-    d2 = (x[:, None] - bs_xy[:, 0]) ** 2 + (y[:, None] - bs_xy[:, 1]) ** 2
+    d2 = (((x[:, None] - bs_xy[:, 0]) ** 2).astype(link)
+          + ((y[:, None] - bs_xy[:, 1]) ** 2).astype(link))
     h = rng.exponential(size=d2.shape) * bs_power
-    h *= np.maximum(d2, 1.0) ** (-0.5 * bs_alpha)
+    h *= np.maximum(d2, 1.0) ** (-0.5 * bs_alpha).astype(link)
     i_bs = h.sum(axis=1)
     shape = (n, len(others))
-    rho = np.sqrt((x[:, None] - bs_xy[1:, 0]) ** 2
-                  + (y[:, None] - bs_xy[1:, 1]) ** 2)
-    r = np.sqrt(u_rng.random(shape)) * topology.radius[others]
-    v = v_rng.random(shape, dtype=np.float32)
-    if float32_sine:
-        sin_sq = np.sin(v * np.float32(0.5 * np.pi)) ** 2
-    else:
-        sin_sq = np.sin(v.astype(float) * (0.5 * np.pi)) ** 2
+    rho = np.sqrt(d2[:, 1:])
+    r = np.sqrt(u_rng.random(shape).astype(link)) \
+        * topology.radius[others].astype(link)
+    v = v_rng.random(shape, dtype=np.float32).astype(link)
+    sin_sq = np.sin(v * link(0.5 * np.pi)) ** 2
     d2 = (rho - r) ** 2 + sin_sq * rho * r * 4.0
     h = h_rng.exponential(size=shape) * ue_tx_power
-    h *= np.maximum(d2, 1.0) ** (-0.5 * topology.alpha[others])
+    h *= np.maximum(d2, 1.0) ** (-0.5 * topology.alpha[others]).astype(link)
     return signal, i_bs, h.sum(axis=1)
 
 
@@ -540,15 +580,18 @@ class TestBlockedKernel:
             np.testing.assert_array_equal(values, want)
 
     @pytest.mark.parametrize("topology", ["sparse_topology", "dense_topology"])
-    def test_float32_angle_sine_matches_float64_replay(self, request,
-                                                       topology):
-        # float32 sin^2(pi v / 2) lies within 3.5e-7 of float64, relative,
-        # at each of the 2^24 values of v, so a link's gain d^-alpha within
-        # alpha/2 times that
+    def test_interference_within_contract_of_float64_replay(self, request,
+                                                            topology):
+        # the precision contract: float32 link arithmetic keeps each trial's
+        # BS and UE interference within 1e-6 of float64 on the same draws,
+        # relative, while every gain is a normal float32 and alpha/2 = 1.5
+        # is exact; the signal is float64
         topology = request.getfixturevalue(topology)
-        i_ue = capacity._simulate_chunk(topology, P_UE, 5, 2, 1808)[2]
-        want = replay_chunk(topology, P_UE, 5, 2, 1808, float32_sine=False)[2]
-        np.testing.assert_allclose(i_ue, want, rtol=1e-6, atol=0.0)
+        got = capacity._simulate_chunk(topology, P_UE, 5, 2, 1808)
+        want = replay_chunk(topology, P_UE, 5, 2, 1808, float32=False)
+        np.testing.assert_array_equal(got[0], want[0])
+        for values, expected in zip(got[1:], want[1:]):
+            np.testing.assert_allclose(values, expected, rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("n", [1, 1808, 8192])
     @pytest.mark.parametrize("rows", [1, 7, 8192])
@@ -561,37 +604,37 @@ class TestBlockedKernel:
             np.testing.assert_array_equal(got, expected)
 
     #: sha256 of the signal, BS and UE interference bytes per (M, trials).
-    #: The signal and BS digests are those the kernel has given since it
-    #: drew the uplink uniforms whole: its main stream is unchanged. The UE
-    #: digests date from the uplink substreams and the float32 angle sine.
-    #: They are exact float64 bytes, computed with numpy 2.4 on an x86-64 CPU
-    #: with AVX-512: they assume its SIMD float32 ``sin`` and float64 ``pow``
-    #: code paths, and another code path needs new UE digests.
+    #: The signal digests are those the kernel has given since it drew the
+    #: uplink uniforms whole: its main stream and float64 signal are
+    #: unchanged. The BS and UE digests date from the float32 link
+    #: arithmetic. They are exact float64 bytes, computed with numpy 2.4 on
+    #: an x86-64 CPU with AVX-512: they assume its SIMD float32 ``sin`` and
+    #: ``pow`` code paths, and another code path needs new BS and UE digests.
     DIGESTS = {
         (17, 1): ("d776cfb38abf37c2f3657ea924cbe2a33fc4dbd9ee51db854853a2e2e487d4be",
-                  "a4d011fad55e58f00bea7d0a21d266c233a0535f7fd9a08395dc3873ff649488",
-                  "af29f9be314b72910409d4e80e52af1ced5ebd35d0215a6b1fec2b7b92a92f5c"),
+                  "cb6a52bbe1fd1b74e834807e39dd28e3b310d5db971967d79e14b53a612e2f78",
+                  "738ecd7ce259a6f827ab163dd5d8581161c328ab8e78ec3f1c9e8455ca98b6b2"),
         (17, 1808): ("360518828821ee7fe31451b65c6a6f5d67f20b84098f1a35a016e30b153f496d",
-                     "e0bec263c9851733b5736761bf63d63f401a992c1cc471091b1ce5b1144109b2",
-                     "d1a4352375c1eb6cce05a39f1b8f18d77cc4808b6dde022e8aab449751f72f3e"),
+                     "32e678843e1a5d5076d0eba91adbf05fbbdc04f8c7dfdf9b4642ad72b012d408",
+                     "d996d81506d4025451c05823d093720f0ee489d343ea64bf00565a60fbd5dbc8"),
         (17, 8192): ("8944818c50414f284960a7c71ef16a7cc7371951259763724f38193461399869",
-                     "46c0a65c4107c302e235d74cec31b9dd32ff5d86dcfa5de69b865f906a7d518c",
-                     "1642c336293e7c77cc055aa4579fbbf74177835602aabffa04e162b8b3a0ae2c"),
+                     "8d8024e738e88f04b5b1c4ed2b2743555c88e11171e92a24ebabfea063946e14",
+                     "9ce64db360f2bc48d6cd11dda0a7efd69fe2f517e612382b5be09c030b87c305"),
         (17, 8193): ("8a109f1df6bd43c6426914fffe49166f4b2f43d70d408731dcaa859ba6945b30",
-                     "8b208a0d53ed250e303734205878cec04b09a6e5c748cc540575b394f6e2e7ad",
-                     "ca6c88f2f7b493ca680eff371428ee61e5a277ceb0fea3ac7f174f4656ade86f"),
+                     "1d712da44e10c4ee3bf59760a0f1a7c31ec414ca986b5a62c70d97f4f6de489b",
+                     "388132b1000bfc41c38cd276ccda73fecf57e43daa3d2f03a36cfce3e254a778"),
         (157, 1): ("4bb18e2d364dc1205f3bcc80d18b724944839d711cf006811316478d0ca8b6cf",
-                   "f7dd3b269afe72d65bf0a81f7a2efca5b2e8e049d5a1fb49a1b2b0c7806f4b69",
-                   "bc4156ae10bcb8bbe28ddbdd5f83bff34d32590dbc95070a34eea9a416e34248"),
+                   "b9565c5e7e92ebfa4baea67bec1e9f6e343834ef3da77fb04d7a95a16220687a",
+                   "a89a5d6fe822071a2d8e28b1cf4e1be6d0aa86c84889b7a28dd7acad74bbfd6e"),
         (157, 1808): ("bd2f25622c5340e52cc3dab30990112b51b496273153960fe91576ec261c0165",
-                      "52241997bfe37b742881560c8a5671516cb3c1848bb70ed68cf6adf2c3fd756c",
-                      "a36d9c660891e2ce4c9f027899c2b0cdf85a1eb479353be4c52775b2ccb601f9"),
+                      "d3c0b4203210819039e00d1d0945329db703a37c2aac9e01a5ac79f1c2f72be7",
+                      "17804c107bc2d0e4564df7800d06f9ec4dcf22688efb998b5cef1ec2bcec5031"),
         (157, 8192): ("e933897a52132d2d38d26a2dc23a0b0866ff8ce03eb0b3b6be6c5c3b6c439673",
-                      "c8e4d909bc99544b9feb1fa6d65fc812999800c8fa87af9c03e264bda3bb2a3e",
-                      "0fbb8acb898e3ddd3bc064bd49e19eb865763b0eb4b43fc37a364b85a1d120fd"),
+                      "1b020d4363836b11ec2cd821b6b023fa589c700d3680b9f9170add8c18e56a5c",
+                      "17bbd1a57bf13414c5fbcc3f91c9b3b5b9cdfd8d9249cf3bdfb7c70d10ac0139"),
         (157, 8193): ("dde95e6977aa99de0cc77910d8ae5f29437d37a2a36c3f7da7ceddcd6244f8ed",
-                      "6a3f7bb7e59a0b438bf066e89dda86a80640340e43a166914132162b2006231d",
-                      "1c9fe66bdafbfd6b851b22514e76ba2c0a0e1dc3abcbb8ca9e3d60983883c2b8"),
+                      "3fd2bcfb2f0629466f42add66c26030c273713fb89975f88c9e168160d20cde1",
+                      "e0fb8d0a630597061828abe0e1386440d031a1a9d259a7b0a7db5574bb70d6d6"),
     }
 
     @pytest.mark.parametrize("m,n", list(DIGESTS))
@@ -628,7 +671,8 @@ class TestBlockedKernel:
     def test_chunk_peak_memory(self, dense_topology):
         # a full chunk at M=157 holds per-trial vectors and one row-block
         # workspace only: no (trials, cells) array, and no temporaries per
-        # block; the kernel that allocated them per block peaked at 2.62 MB
+        # block; the kernel that allocated them per block peaked at 2.62 MB,
+        # and the all-float64 workspace (1.12 MB of it) at 1.72 MB
         m = len(dense_topology.centers)
         assert m == 157
         n = capacity.CHUNK_TRIALS
@@ -638,7 +682,7 @@ class TestBlockedKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2_700_000
+        assert peak <= 1_600_000
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts minor page faults with getrusage")
@@ -720,9 +764,9 @@ class TestTaggedRadiusStrata:
         assert se == float(z.std(ddof=1)) / math.sqrt(n) / (1e-3 * z_mean)
 
     @pytest.mark.parametrize("mode,exact,exact_se,bound,bound_se", [
-        (DuplexMode.FD, 404.36841236001897, 22.010499543380156,
+        (DuplexMode.FD, 404.3684127803353, 22.0104993815787,
          391.96097323791, 0.0),
-        (DuplexMode.HD, 209.0502835979566, 11.275982980130637,
+        (DuplexMode.HD, 209.05028374211716, 11.27598289439756,
          203.9004057367944, 0.0)])
     def test_small_runs_keep_unstratified_values(self, sparse_topology,
                                                  qos_default, mode, exact,

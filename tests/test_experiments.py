@@ -58,22 +58,29 @@ class TestSweep:
 
     def test_rows_equal_standalone_estimators(self, sparse_topology,
                                               qos_default_module, monkeypatch):
-        # the sweep computes the eta-independent work once; every row must
-        # still equal the standalone estimators bit for bit
-        from hetcap import capacity
+        # the sweep computes the eta-independent work once, the bound's mean
+        # interference in one full-duplex call whose BS series half duplex
+        # shares; every row must still equal the standalone estimators, each
+        # of which evaluates its own mode's series, bit for bit
+        from hetcap import capacity, interference
 
-        mean_calls = []
-        original = capacity.total_mean_interference
+        calls = {"mean": 0, "series": 0}
 
-        def counted(*args, **kwargs):
-            mean_calls.append(args)
-            return original(*args, **kwargs)
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(capacity, "total_mean_interference", counted)
+        for module, attr, name in ((capacity, "total_mean_interference", "mean"),
+                                   (interference, "_disk_pair_pathloss",
+                                    "series")):
+            monkeypatch.setattr(module, attr,
+                                counted(name, getattr(module, attr)))
         qos, trials, seed = qos_default_module, 5000, 41
         sweep = sweep_eta(sparse_topology, qos, NOISE, P_UE,
                           [-80.0, -45.0, 0.0], trials=trials, seed=seed)
-        assert len(mean_calls) <= 2
+        assert calls == {"mean": 1, "series": 2}    # BS terms, then UE terms
 
         components = simulate_components(sparse_topology, P_UE, trials, seed)
         hd = DuplexConfig(DuplexMode.HD, 0.0, 1.0, P_UE)

@@ -118,17 +118,21 @@ def _ue_interference(centers, radius, alpha=3.0, trials: int = 3,
 
 
 class TestInterfererDistance:
-    """UE-to-UE distances as the trial kernel measures them."""
+    """UE-to-UE distances as the trial kernel measures them.
+
+    The kernel's link arithmetic is float32, so its UE interference is held
+    to its precision contract, 1e-6 relative, not to float64 rounding.
+    """
 
     def test_both_at_centers(self, fixed_draws):
         # zero-radius cells hold their UEs at the centers, 500 m apart
         i_ue = _ue_interference([(400.0, 0.0), (-100.0, 0.0)], 0.0)
-        np.testing.assert_allclose(i_ue, P_UE * 500.0**-3, rtol=1e-12)
+        np.testing.assert_allclose(i_ue, P_UE * 500.0**-3, rtol=1e-6)
 
     def test_collinear_victim_toward_interferer(self, fixed_draws):
         # the tagged UE sits 90 m from its BS toward the interferer's center
         i_ue = _ue_interference([(300.0, 0.0), (300.0, 500.0)], [180.0, 0.0])
-        np.testing.assert_allclose(i_ue, P_UE * 410.0**-3, rtol=1e-12)
+        np.testing.assert_allclose(i_ue, P_UE * 410.0**-3, rtol=1e-6)
 
     def test_matches_cartesian_oracle(self):
         # replay the kernel's streams (main stream: tagged radius, its u in
@@ -153,7 +157,7 @@ class TestInterfererDistance:
         phi = np.arctan2(uy - centers[1, 1], ux - centers[1, 0])
         ix, iy = disk_points_xy(centers[1], r_i, phi + t_i)
         dist = np.hypot(ux - ix, uy - iy)
-        np.testing.assert_allclose(got, P_UE * h * dist**-alpha[1], rtol=1e-12)
+        np.testing.assert_allclose(got, P_UE * h * dist**-alpha[1], rtol=1e-6)
 
 
 class TestTrialDraw:
