@@ -13,8 +13,7 @@ from .channel import (D_MIN, DuplexConfig, DuplexMode, QoSConfig,
 from .config import (ScenarioConfig, ScenarioFormatError,
                      ScenarioValidationError, dbm_to_watts, emit_benchmark_csv,
                      emit_breakdown_csv, emit_sweep_csv, load_scenario,
-                     load_topology, save_scenario, save_topology,
-                     watts_to_dbm)
+                     load_topology, save_topology, watts_to_dbm)
 from .experiments import (BenchmarkReport, SweepResult, SweepRow,
                           benchmark_runtime, eta_grid_db, fd_gain,
                           find_crossover, sweep_eta)

@@ -427,19 +427,19 @@ def _lb_over_duplexes(topology: NetworkTopology, duplexes: list[DuplexConfig],
     is guaranteed while the kernel's exponent share * beta is at most 1,
     so half duplex keeps it up to twice ``qos.theta_bound``.
     """
-    fd = {d.ue_tx_power: d for d in duplexes if d.mode is DuplexMode.FD}
+    fd = {d.ue_tx_power: d for d in duplexes if _duplex_terms(d)[0]}
     series, means = {}, {}
     denoms, exponents = [], []
     for duplex in duplexes:
-        mode, power = duplex.mode, duplex.ue_tx_power
-        if (mode, power) not in means:
+        ues, rsi, share = _duplex_terms(duplex)
+        power = duplex.ue_tx_power
+        if (ues, power) not in means:
             if power not in series:     # HD alone skips the uplink series
                 series[power] = total_mean_interference(
                     topology, fd.get(power, duplex))
-            means[mode, power] = (series[power].total if mode is DuplexMode.FD
-                                  else sum(series[power].per_bs.tolist()))
-        _, rsi, share = _duplex_terms(duplex)
-        denoms.append(means[mode, power] + (rsi + noise))
+            means[ues, power] = (series[power].total if ues
+                                 else sum(series[power].per_bs.tolist()))
+        denoms.append(means[ues, power] + (rsi + noise))
         exponents.append(share * qos.beta)
     z, nodes = _signal_average(topology, np.array(denoms), np.array(exponents))
     return [ECEstimate(max(-math.log(z_mean) / qos.theta, 0.0), 0.0,

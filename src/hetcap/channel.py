@@ -56,9 +56,9 @@ class QoSConfig:
     bandwidth: float = 180e3
 
     def __post_init__(self) -> None:
-        if self.theta <= 0:
+        if not self.theta > 0:
             raise ValueError("theta must be > 0")
-        if self.frame_time <= 0 or self.bandwidth <= 0:
+        if not (self.frame_time > 0 and self.bandwidth > 0):
             raise ValueError("frame_time and bandwidth must be > 0")
 
     @property

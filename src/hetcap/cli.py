@@ -15,12 +15,19 @@ from .channel import _duplex_terms
 from .geometry import InvalidTopologyError
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", help="scenario file (defaults used if omitted)")
-    parser.add_argument("--seed", type=int, help="override both seeds")
-    parser.add_argument("--trials", type=int, help="override trial count")
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--out", help="output path")
+#: The options shared between subcommands; each declares those it reads.
+_OPTIONS = {
+    "--scenario": {"help": "scenario file (defaults used if omitted)"},
+    "--seed": {"type": int, "help": "override both seeds"},
+    "--trials": {"type": int, "help": "override trial count"},
+    "--workers": {"type": int, "default": 1},
+    "--out": {"help": "output path"},
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,25 +38,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample a deployment and save it")
-    _add_common(p)
+    _add_options(p, "--scenario", "--seed", "--out")
 
     p = sub.add_parser("sweep", help="capacity vs. self-interference cancellation")
-    _add_common(p)
+    _add_options(p, "--scenario", "--seed", "--trials", "--workers", "--out")
     p.add_argument("--eta-from", type=float, default=-80.0, metavar="DB")
     p.add_argument("--eta-to", type=float, default=0.0, metavar="DB")
     p.add_argument("--eta-step", type=float, default=2.5, metavar="DB")
 
     p = sub.add_parser("validate", help="closed-form vs. oracle and bound ordering")
-    _add_common(p)
+    _add_options(p, "--scenario", "--seed", "--trials")
 
     p = sub.add_parser("bench", help="exact vs. lower-bound runtime at matched accuracy")
-    _add_common(p)
+    _add_options(p, "--scenario", "--seed", "--out")
     p.add_argument("--target-se", type=float, default=None,
                    help="capacity standard-error target in bits (default 1%% of a pilot)")
     p.add_argument("--mode", choices=("hd", "fd", "both"), default="fd")
 
     p = sub.add_parser("limits", help="loose-QoS limit and theta-range checks")
-    _add_common(p)
+    _add_options(p, "--scenario", "--seed", "--trials", "--workers")
     p.add_argument("--mode", choices=("hd", "fd", "both"), default="both")
     return parser
 
@@ -60,7 +67,7 @@ def _load(args) -> config.ScenarioConfig:
     overrides = {}
     if args.seed is not None:
         overrides.update(topology_seed=args.seed, trial_seed=args.seed)
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         overrides.update(trials=args.trials)
     return replace(cfg, **overrides) if overrides else cfg
 
@@ -89,9 +96,8 @@ def _cmd_sweep(args) -> int:
     topology = _topology(cfg)
     grid = experiments.eta_grid_db(args.eta_from, args.eta_to, args.eta_step)
     sweep = experiments.sweep_eta(
-        topology, cfg.qos(), cfg.noise_watts,
-        config.dbm_to_watts(cfg.ue_power_dbm), grid, cfg.trials, cfg.trial_seed,
-        kappa=cfg.kappa, workers=args.workers)
+        topology, cfg.qos(), cfg.noise_watts, cfg.duplex().ue_tx_power, grid,
+        cfg.trials, cfg.trial_seed, kappa=cfg.kappa, workers=args.workers)
     # a sweep without an FD/HD gain raises here, before any file is written
     gain = experiments.fd_gain(sweep)
     crossover = experiments.find_crossover(sweep)
@@ -207,8 +213,8 @@ def _cmd_limits(args) -> int:
     loose = replace(cfg, theta_per_bit=1e-6)
     # one set of draws serves both modes: UE power and seed do not depend on it
     components = capacity.simulate_components(
-        topology, config.dbm_to_watts(cfg.ue_power_dbm), cfg.trials,
-        cfg.trial_seed, workers=args.workers)
+        topology, cfg.duplex().ue_tx_power, cfg.trials, cfg.trial_seed,
+        workers=args.workers)
     worst = 0.0
     for mode, duplex in zip(modes, duplexes):
         ec = capacity.ec_from_components(components, duplex, loose.qos(),
@@ -237,9 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (config.ScenarioFormatError, config.ScenarioValidationError,
-            InvalidTopologyError, interference.TaylorValidityError,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

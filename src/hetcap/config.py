@@ -68,8 +68,14 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
+        """Region, duplex and QoS check their own fields; the checks left
+        are the sampler's and the trial count, which must fail before any
+        draw."""
+        try:
+            self.region(), self.duplex(), self.qos()
+        except ValueError as exc:
+            raise ScenarioValidationError(str(exc)) from exc
         checks = [
-            (self.macro_radius_m > 0, "macro_radius_m must be > 0"),
             (self.pico_radius_m > 0, "pico_radius_m must be > 0"),
             (self.pico_radius_m < self.macro_radius_m,
              "pico_radius_m must be smaller than macro_radius_m"),
@@ -77,12 +83,6 @@ class ScenarioConfig:
              f"hard_core_m must be >= 2*pico_radius_m = {2 * self.pico_radius_m}"),
             (self.density_per_km2 >= 0, "density_per_km2 must be >= 0"),
             (self.path_loss_exponent >= 0, "path_loss_exponent must be >= 0"),
-            (self.duplex_mode in ("hd", "fd"), "duplex_mode must be hd or fd"),
-            (0.0 <= self.eta <= 1.0, "eta must lie in [0, 1]"),
-            (0.0 <= self.kappa <= 1.0, "kappa must lie in [0, 1]"),
-            (self.theta_per_bit > 0, "theta_per_bit must be > 0"),
-            (self.frame_time_s > 0, "frame_time_s must be > 0"),
-            (self.bandwidth_hz > 0, "bandwidth_hz must be > 0"),
             (self.trials >= 1, "trials must be >= 1"),
         ]
         for ok, message in checks:
@@ -175,17 +175,6 @@ def load_scenario(path: str) -> ScenarioConfig:
         return ScenarioConfig(**values)
     except ScenarioValidationError as exc:
         raise ScenarioValidationError(f"{path}: {exc}") from exc
-
-
-def save_scenario(config: ScenarioConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# hetcap scenario\n")
-        for f in fields(ScenarioConfig):
-            value = getattr(config, f.name)
-            if f.name in _INT_KEYS or f.name == "duplex_mode":
-                fh.write(f"{f.name} = {value}\n")
-            else:
-                fh.write(f"{f.name} = {value!r}\n")
 
 
 # -- topology files -----------------------------------------------------------

@@ -55,12 +55,8 @@ class Region:
     macro_radius: float
 
     def __post_init__(self) -> None:
-        if self.macro_radius <= 0:
+        if not self.macro_radius > 0:
             raise ValueError(f"macro_radius must be > 0, got {self.macro_radius}")
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.macro_radius**2
 
 
 @dataclass(frozen=True)
@@ -190,11 +186,6 @@ class NetworkTopology:
     def small_cells(self) -> tuple[SmallCell, ...]:
         """The cells as ``SmallCell`` records, for display."""
         return tuple(SmallCell((x, y), r, p, a) for x, y, r, p, a in self._table())
-
-    @property
-    def tagged_cell(self) -> SmallCell:
-        """The tagged cell as a ``SmallCell`` record, for display."""
-        return self.small_cells[self._tagged()]
 
     def fingerprint(self) -> str:
         """Stable short hash of the deployment, for result provenance."""
@@ -398,8 +389,8 @@ def sample_matern_hcpp(
     mark competition has no edge bias, thinned (lowest mark within the hard
     core wins), then restricted to centers that keep the whole cell inside
     the macro disk. The parent intensity is solved so the expected retained
-    count is ``target_density * region.area`` despite thinning and the
-    containment margin; a request above the type-II saturation limit
+    count is ``target_density * pi * macro_radius^2`` despite thinning and
+    the containment margin; a request above the type-II saturation limit
     1/(pi*hard_core^2) raises ``SaturationWarning`` and delivers the
     saturated process instead.
 

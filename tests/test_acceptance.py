@@ -76,7 +76,8 @@ def test_criterion_01_jensen_bound_ordering():
         topology = sample_scenario_topology(density, topo_seed)
         if topology.tagged_index is None:
             continue
-        if math.hypot(*topology.tagged_cell.center) <= topology.tagged_cell.radius:
+        t = topology.tagged_index
+        if math.hypot(*topology.centers[t]) <= topology.radius[t]:
             continue
         theta = float(rng.uniform(1e-4, 7.5e-3))
         qos = QoSConfig(theta, 0.5e-3, 180e3)

@@ -112,10 +112,11 @@ class TestExactMonteCarlo:
         # the estimate averages the closed form over the 32 strata
         estimate = ec_exact_mc(single_cell_topology, fd_duplex, qos_default,
                                NOISE, 500, 1)
-        cell = single_cell_topology.tagged_cell
-        r = cell.radius * np.sqrt((np.arange(32) + 0.25) / 32)
-        s = cell.power * r ** -3.0
-        d_macro = np.hypot(cell.center[0], cell.center[1] + r)
+        t = single_cell_topology.tagged_index
+        center = single_cell_topology.centers[t]
+        r = single_cell_topology.radius[t] * np.sqrt((np.arange(32) + 0.25) / 32)
+        s = single_cell_topology.power[t] * r ** -3.0
+        d_macro = np.hypot(center[0], center[1] + r)
         i = single_cell_topology.macro_bs.power * d_macro ** -3.0
         sinr_det = s / (i + fd_duplex.eta * P_UE + NOISE)
         z = (1.0 + sinr_det) ** -qos_default.beta
@@ -186,20 +187,21 @@ def lb_by_quadrature(topology, duplex, qos, noise):
     from hetcap import D_MIN, path_loss_gain
     from hetcap.channel import _duplex_terms
 
-    tagged = topology.tagged_cell
+    t = topology.tagged_index
+    radius, power, alpha = topology.radius[t], topology.power[t], topology.alpha[t]
     _, rsi, share = _duplex_terms(duplex)
     denom = total_mean_interference(topology, duplex).total + (rsi + noise)
     expo = share * qos.beta
 
     def fading_avg(r):
-        b = tagged.power * path_loss_gain(r, tagged.alpha) / denom
+        b = power * path_loss_gain(r, alpha) / denom
         inner, _ = integrate.quad(
             lambda u: (1.0 - b * np.log(u)) ** (-expo), 0.0, 1.0, limit=200)
         return inner
 
     z_mean, _ = integrate.quad(
-        lambda r: fading_avg(r) * 2.0 * r / tagged.radius**2,
-        0.0, tagged.radius, points=[min(D_MIN, tagged.radius)], limit=200)
+        lambda r: fading_avg(r) * 2.0 * r / radius**2,
+        0.0, radius, points=[min(D_MIN, radius)], limit=200)
     return max(-math.log(z_mean) / qos.theta, 0.0)
 
 
@@ -212,16 +214,16 @@ def lb_by_monte_carlo(topology, duplex, qos, noise, draws, seed, i_mean=None):
     """
     from hetcap.channel import _duplex_terms
 
-    tagged = topology.tagged_cell
+    t = topology.tagged_index
     _, rsi, share = _duplex_terms(duplex)
     if i_mean is None:
         i_mean = total_mean_interference(topology, duplex).total
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    r = capacity._tagged_radius(tagged.radius, draws, rng,
+    r = capacity._tagged_radius(topology.radius[t], draws, rng,
                                 capacity._strata(draws))
-    s = tagged.power * rng.standard_exponential(size=draws) \
-        * path_loss_gain(r, tagged.alpha)
+    s = topology.power[t] * rng.standard_exponential(size=draws) \
+        * path_loss_gain(r, topology.alpha[t])
     z = (1.0 + s / (i_mean + (rsi + noise))) ** (-share * qos.beta)
     return capacity._reduce_ec(z, qos.theta)
 
@@ -409,8 +411,9 @@ class TestLowerBound:
                                           macro_power=39.81)
             if topology.tagged_index is None:
                 continue
-            d_macro = math.hypot(*topology.tagged_cell.center)
-            if d_macro <= topology.tagged_cell.radius:
+            t = topology.tagged_index
+            d_macro = math.hypot(*topology.centers[t])
+            if d_macro <= topology.radius[t]:
                 continue
             theta = float(rng.uniform(1e-4, 7e-3))
             eta = float(10 ** rng.uniform(-10, 0))
@@ -745,11 +748,11 @@ class TestTaggedRadiusStrata:
             return path_loss_gain(r, alpha)
 
         monkeypatch.setattr(capacity, "path_loss_gain", recorded)
-        tagged = sparse_topology.tagged_cell
+        radius = sparse_topology.radius[sparse_topology.tagged_index]
         n = capacity.CHUNK_TRIALS + 1808
         simulate_components(sparse_topology, P_UE, n, 3)
         assert [len(r) for r in radii] == [capacity.CHUNK_TRIALS, 1808]
-        u = (np.concatenate(radii) / tagged.radius) ** 2
+        u = (np.concatenate(radii) / radius) ** 2
         np.testing.assert_array_equal(np.floor(32 * u), np.arange(len(u)) % 32)
 
     @pytest.mark.parametrize("n,strata", [(2, 32), (63, 32), (10**4, 1)])

@@ -1,8 +1,10 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from hetcap import (InvalidTopologyError, ScenarioConfig, ScenarioFormatError,
                     ScenarioValidationError, dbm_to_watts, emit_benchmark_csv,
                     emit_breakdown_csv, emit_sweep_csv, load_scenario,
-                    load_topology, save_scenario, save_topology, watts_to_dbm)
+                    load_topology, save_topology, watts_to_dbm)
 from hetcap.cli import main
 from hetcap.config import SWEEP_COLUMNS
 
@@ -68,6 +70,33 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioValidationError, match="hard_core_m"):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize("text", [
+        "macro_radius_m = 0",
+        "macro_radius_m = nan",
+        "pico_radius_m = 0",
+        "pico_radius_m = 1000\nhard_core_m = 2000",
+        "hard_core_m = 179",
+        "density_per_km2 = -1",
+        "path_loss_exponent = -1",
+        "duplex_mode = xd",
+        "eta = 1.5",
+        "eta = nan",
+        "kappa = -0.5",
+        "theta_per_bit = 0",
+        "theta_per_bit = nan",
+        "frame_time_s = 0",
+        "frame_time_s = nan",
+        "bandwidth_hz = -1",
+        "bandwidth_hz = nan",
+        "trials = 0",
+    ])
+    def test_each_invariant_rejected_with_path(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text + "\n")
+        with pytest.raises(ScenarioValidationError,
+                           match=f"^{re.escape(str(path))}: "):
+            load_scenario(str(path))
+
     def test_unknown_key_with_line_context(self, tmp_path):
         path = tmp_path / "weird.txt"
         path.write_text("macro_radius_m = 1000\nmystery = 3\n")
@@ -95,7 +124,8 @@ class TestScenarioParsing:
         cfg = ScenarioConfig(density_per_km2=12.5, eta=3.3e-7, trials=777,
                              duplex_mode="hd", theta_per_bit=2.5e-3)
         path = tmp_path / "cfg.txt"
-        save_scenario(cfg, str(path))
+        path.write_text("".join(f"{f.name} = {getattr(cfg, f.name)}\n"
+                                for f in fields(cfg)))
         assert load_scenario(str(path)) == cfg
 
 
@@ -243,6 +273,38 @@ def quick_scenario(tmp_path):
 
 
 class TestCli:
+    @pytest.mark.parametrize("command,options", [
+        ("generate", ["--scenario", "--seed", "--out"]),
+        ("sweep", ["--scenario", "--seed", "--trials", "--workers", "--out",
+                   "--eta-from", "--eta-to", "--eta-step"]),
+        ("validate", ["--scenario", "--seed", "--trials"]),
+        ("bench", ["--scenario", "--seed", "--out", "--target-se", "--mode"]),
+        ("limits", ["--scenario", "--seed", "--trials", "--workers", "--mode"]),
+    ])
+    def test_help_lists_only_the_options_read(self, capsys, command, options):
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--help"])
+        assert caught.value.code == 0
+        help_text = capsys.readouterr().out
+        assert re.findall(r"^ +(--[a-z-]+)", help_text, re.M) == options
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("generate", "--trials", "100"),
+        ("generate", "--workers", "2"),
+        ("validate", "--workers", "2"),
+        ("validate", "--out", "validate.txt"),
+        ("bench", "--trials", "100"),
+        ("bench", "--workers", "2"),
+        ("limits", "--out", "limits.txt"),
+    ])
+    def test_option_not_read_is_a_usage_error(self, capsys, command, option,
+                                              value):
+        with pytest.raises(SystemExit) as caught:
+            main([command, option, value])
+        assert caught.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in \
+            capsys.readouterr().err
+
     def test_generate(self, quick_scenario, tmp_path, capsys):
         out = tmp_path / "topo.txt"
         assert main(["generate", "--scenario", quick_scenario,

@@ -457,14 +457,13 @@ class TestArrayModel:
         t = sparse_topology.tagged_index
         cells = sparse_topology.small_cells
         assert len(cells) == len(sparse_topology.centers)
-        assert cells[t] == sparse_topology.tagged_cell
         assert cells[t] == SmallCell(tuple(sparse_topology.centers[t]), 90.0,
                                      sparse_topology.power[t], 3.0)
         assert type(cells[t].radius) is float
 
     def test_empty_topology_has_no_tagged_cell(self):
         empty = _topology([], tagged=None)
-        for read in (lambda: empty.tagged_cell, lambda: empty.others):
+        for read in (lambda: empty.interfering_bs, lambda: empty.others):
             with pytest.raises(InvalidTopologyError, match="no tagged cell"):
                 read()
 
